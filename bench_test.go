@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"dashdb"
 	"dashdb/internal/bench"
 	"dashdb/internal/bitpack"
 	"dashdb/internal/bufferpool"
@@ -19,7 +20,6 @@ import (
 	"dashdb/internal/columnar"
 	"dashdb/internal/deploy"
 	"dashdb/internal/encoding"
-	"dashdb/internal/mpp"
 	"dashdb/internal/page"
 	"dashdb/internal/spark"
 	"dashdb/internal/types"
@@ -87,6 +87,7 @@ func BenchmarkFigADeployment(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.ReportMetric(dep.Timeline.Total().Minutes(), "simulated-minutes")
+		dep.Close()
 	}
 }
 
@@ -205,16 +206,16 @@ func BenchmarkFigFSIMD(b *testing.B) {
 func BenchmarkFigGHAFailover(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		c, err := mpp.NewCluster([]mpp.NodeSpec{
+		c, err := dashdb.NewCluster([]dashdb.NodeSpec{
 			{Name: "A", Cores: 8, MemBytes: 64 << 20},
 			{Name: "B", Cores: 8, MemBytes: 64 << 20},
 			{Name: "C", Cores: 8, MemBytes: 64 << 20},
 			{Name: "D", Cores: 8, MemBytes: 64 << 20},
-		}, 6, nil)
+		}, 6)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := c.Query(`CREATE TABLE t (a BIGINT NOT NULL)`); err != nil {
+		if _, err := c.Exec(`CREATE TABLE t (a BIGINT NOT NULL)`); err != nil {
 			b.Fatal(err)
 		}
 		var rows []types.Row
@@ -229,27 +230,31 @@ func BenchmarkFigGHAFailover(b *testing.B) {
 		if err := c.FailNode("D"); err != nil {
 			b.Fatal(err)
 		}
-		r, err := c.Query(`SELECT COUNT(*) FROM t`)
+		r, err := c.Exec(`SELECT COUNT(*) FROM t`)
 		if err != nil || r.Rows[0][0].Int() != 24_000 {
 			b.Fatalf("failover query %v err %v", r, err)
 		}
+		b.StopTimer()
+		c.Close()
+		b.StartTimer()
 	}
 }
 
 func BenchmarkFigHSparkIntegration(b *testing.B) {
-	c, err := mpp.NewCluster([]mpp.NodeSpec{
+	c, err := dashdb.NewCluster([]dashdb.NodeSpec{
 		{Name: "A", Cores: 4, MemBytes: 32 << 20},
 		{Name: "B", Cores: 4, MemBytes: 32 << 20},
-	}, 2, nil)
+	}, 2)
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer c.Close()
 	schema := types.Schema{
 		{Name: "id", Kind: types.KindInt},
 		{Name: "x", Kind: types.KindFloat, Nullable: true},
 		{Name: "y", Kind: types.KindFloat, Nullable: true},
 	}
-	if err := c.CreateTable("pts", schema, mpp.TableOptions{DistributeBy: "id"}); err != nil {
+	if err := c.CreateTable("pts", schema, dashdb.TableOptions{DistributeBy: "id"}); err != nil {
 		b.Fatal(err)
 	}
 	var rows []types.Row
@@ -260,11 +265,10 @@ func BenchmarkFigHSparkIntegration(b *testing.B) {
 	if err := c.Insert("pts", rows); err != nil {
 		b.Fatal(err)
 	}
-	d, err := spark.NewDispatcher(c)
+	d, err := c.Spark()
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer d.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		id := d.SubmitFunc("bench", "glm", func(ctx *spark.Context) (interface{}, error) {

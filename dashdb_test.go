@@ -1,10 +1,13 @@
 package dashdb_test
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"dashdb"
+	"dashdb/internal/clusterfs"
+	"dashdb/internal/mpp"
 )
 
 func TestOpenAndQuery(t *testing.T) {
@@ -111,6 +114,61 @@ func TestDeployAndCluster(t *testing.T) {
 	}
 }
 
+// TestFailNodeUnderLoad: queries racing a node failure all answer in
+// full, whether they or FailNode move the node's shards.
+func TestFailNodeUnderLoad(t *testing.T) {
+	cl, err := dashdb.NewCluster([]dashdb.NodeSpec{
+		{Name: "A", Cores: 4, MemBytes: 32 << 20},
+		{Name: "B", Cores: 4, MemBytes: 32 << 20},
+		{Name: "C", Cores: 4, MemBytes: 32 << 20},
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if _, err := cl.Exec(`CREATE TABLE f (k BIGINT NOT NULL)`); err != nil {
+		t.Fatal(err)
+	}
+	var rows []dashdb.Row
+	for i := 0; i < 3000; i++ {
+		rows = append(rows, dashdb.Row{dashdb.NewInt(int64(i))})
+	}
+	if err := cl.Insert("f", rows); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				r, err := cl.Exec(`SELECT COUNT(*) FROM f`)
+				if err != nil || r.Rows[0][0].Int() != 3000 {
+					t.Errorf("query during failover: %v err %v", r, err)
+					return
+				}
+			}
+		}()
+	}
+	if err := cl.FailNode("C"); err != nil {
+		t.Error(err)
+	}
+	if err := cl.AddNode(dashdb.NodeSpec{Name: "C", Cores: 4, MemBytes: 32 << 20}); err != nil {
+		t.Error(err)
+	}
+	close(stop)
+	wg.Wait()
+	if got := cl.Assignment(); got != "A:2 B:2 C:2" {
+		t.Fatalf("assignment after fail and rejoin %q", got)
+	}
+}
+
 func TestClusterSpark(t *testing.T) {
 	cl, err := dashdb.NewCluster([]dashdb.NodeSpec{
 		{Name: "A", Cores: 2, MemBytes: 16 << 20},
@@ -130,7 +188,9 @@ func TestClusterSpark(t *testing.T) {
 		x := float64(i % 10)
 		rows = append(rows, dashdb.Row{dashdb.NewInt(int64(i)), dashdb.NewFloat(x), dashdb.NewFloat(2*x + 1)})
 	}
-	cl.Insert("pts", rows)
+	if err := cl.Insert("pts", rows); err != nil {
+		t.Fatal(err)
+	}
 
 	d, err := cl.Spark()
 	if err != nil {
@@ -150,6 +210,30 @@ func TestClusterSpark(t *testing.T) {
 	m := res.(*dashdb.GLMModel)
 	if m.Weights[0] < 1.9 || m.Weights[0] > 2.1 {
 		t.Fatalf("slope %v", m.Weights)
+	}
+
+	// A node failure reopens the shard engines on the survivor; the same
+	// dispatcher must follow them, keep its registered applications and
+	// still see every row.
+	d.RegisterApp("count", func(ctx *dashdb.SparkContext) (interface{}, error) {
+		ds, err := ctx.Table("pts", "")
+		if err != nil {
+			return nil, err
+		}
+		return ds.Count(), nil
+	})
+	if err := cl.FailNode("B"); err != nil {
+		t.Fatal(err)
+	}
+	if id, err = d.Submit("ana", "count"); err != nil {
+		t.Fatal(err)
+	}
+	res, err = d.Wait(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.(int) != 500 {
+		t.Fatalf("Spark count after failover %v, want 500", res)
 	}
 }
 
@@ -186,7 +270,7 @@ func TestExtensionsSurface(t *testing.T) {
 	}
 }
 
-func TestPublicCheckpointRestore(t *testing.T) {
+func TestPublicSnapshotRestore(t *testing.T) {
 	src, err := dashdb.NewCluster([]dashdb.NodeSpec{
 		{Name: "A", Cores: 4, MemBytes: 32 << 20},
 		{Name: "B", Cores: 4, MemBytes: 32 << 20},
@@ -194,23 +278,63 @@ func TestPublicCheckpointRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.Exec(`CREATE TABLE t (a BIGINT NOT NULL)`)
+	defer src.Close()
+	if _, err := src.Exec(`CREATE TABLE t (a BIGINT NOT NULL)`); err != nil {
+		t.Fatal(err)
+	}
 	var rows []dashdb.Row
 	for i := 0; i < 2000; i++ {
 		rows = append(rows, dashdb.Row{dashdb.NewInt(int64(i))})
 	}
-	src.Insert("t", rows)
-	if err := src.Checkpoint(); err != nil {
+	if err := src.Insert("t", rows); err != nil {
 		t.Fatal(err)
 	}
+	// No checkpoint: every acknowledged statement is already durable.
 	restored, err := dashdb.Restore([]dashdb.NodeSpec{
 		{Name: "Q", Cores: 8, MemBytes: 64 << 20},
 	}, src.FSSnapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer restored.Close()
+	if got := restored.Assignment(); got != "Q:4" {
+		t.Fatalf("restored assignment %q", got)
+	}
 	r, err := restored.Exec(`SELECT COUNT(*), SUM(a) FROM t`)
-	if err != nil || r.Rows[0][0].Int() != 2000 {
+	if err != nil || r.Rows[0][0].Int() != 2000 || r.Rows[0][1].Int() != 1999*2000/2 {
 		t.Fatalf("restored query %v err %v", r, err)
+	}
+}
+
+// TestConnectClusterRejectsCorruptManifest: only an absent manifest means
+// "bootstrap a fresh cluster"; an unreadable one must not be silently
+// replaced by an empty cluster.
+func TestConnectClusterRejectsCorruptManifest(t *testing.T) {
+	fs := clusterfs.New()
+	nodes, servers, err := mpp.StartServers([]dashdb.NodeSpec{{Name: "A", Cores: 2, MemBytes: 16 << 20}}, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mpp.CloseServers(servers)
+	fresh, err := dashdb.ConnectCluster(nodes, 2, fs)
+	if err != nil {
+		t.Fatalf("bootstrap over an empty filesystem: %v", err)
+	}
+	if _, err := fresh.Exec(`CREATE TABLE t (a BIGINT NOT NULL)`); err != nil {
+		t.Fatal(err)
+	}
+	fresh.Close()
+	reopened, err := dashdb.ConnectCluster(nodes, 2, fs)
+	if err != nil {
+		t.Fatalf("reconnect: %v", err)
+	}
+	if n, err := reopened.Rows("t"); err != nil || n != 0 {
+		t.Fatalf("reconnected cluster lost table t: rows %d err %v", n, err)
+	}
+	reopened.Close()
+	fs.WriteFile("cluster/manifest", []byte("garbage"))
+	if c, err := dashdb.ConnectCluster(nodes, 2, fs); err == nil {
+		c.Close()
+		t.Fatal("ConnectCluster over a corrupt manifest must fail")
 	}
 }

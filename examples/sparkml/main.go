@@ -89,10 +89,11 @@ func main() {
 		fmt.Println("  isolation: user 'intruder' cannot see riskteam's job ✔")
 	}
 
-	// The SQL stored-procedure interface (CALL SPARK_SUBMIT) on a shard
-	// engine.
-	db := cl.Internal().Shards()[0].DB
-	dashdb.RegisterSparkProcedures(db, d)
+	// The SQL stored-procedure interface (CALL SPARK_SUBMIT), installed
+	// on an embedded engine that submits to the cluster's dispatcher.
+	db := dashdb.Open(dashdb.Options{BufferPoolBytes: 8 << 20})
+	defer db.Close()
+	dashdb.RegisterSparkProcedures(db.Engine(), d)
 	sess := db.NewSession()
 	sess.SetUser("riskteam")
 	r, err := sess.Exec(`CALL SPARK_SUBMIT('lateRisk')`)

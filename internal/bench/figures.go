@@ -40,7 +40,8 @@ func FigureA(sizes []int) (string, error) {
 			return "", err
 		}
 		fmt.Fprintf(&b, "  %2d nodes: %5.1f min, %d shards, fully configured\n",
-			n, dep.Timeline.Total().Minutes(), len(dep.Cluster.Shards()))
+			n, dep.Timeline.Total().Minutes(), dep.Cluster.NShards())
+		dep.Close()
 	}
 	return b.String(), nil
 }
@@ -195,20 +196,20 @@ func FigureF() string {
 	return b.String()
 }
 
-// FigureG reports the Figure 9 walkthrough: balance before/after failover
-// and growth, with query continuity verified.
+// FigureG reports the Figure 9 walkthrough on in-process shard servers:
+// balance before/after failover and growth, with query continuity
+// verified.
 func FigureG() (string, error) {
 	var b strings.Builder
 	b.WriteString("F-G HA re-association (Figure 9)\n")
-	c, err := mpp.NewCluster([]mpp.NodeSpec{
-		{Name: "A", Cores: 8, MemBytes: 64 << 20},
-		{Name: "B", Cores: 8, MemBytes: 64 << 20},
-		{Name: "C", Cores: 8, MemBytes: 64 << 20},
-		{Name: "D", Cores: 8, MemBytes: 64 << 20},
-	}, 6, nil)
+	fs := clusterfs.New()
+	spec := func(name string) mpp.NetNode { return mpp.NetNode{Name: name, Cores: 8, MemBytes: 64 << 20} }
+	c, servers, err := mpp.StartLocal([]mpp.NetNode{spec("A"), spec("B"), spec("C"), spec("D")}, 24, fs)
 	if err != nil {
 		return "", err
 	}
+	defer func() { mpp.CloseServers(servers) }()
+	defer c.Close()
 	if _, err := c.Query(`CREATE TABLE t (a BIGINT NOT NULL)`); err != nil {
 		return "", err
 	}
@@ -224,6 +225,7 @@ func FigureG() (string, error) {
 		return "", err
 	}
 	fmt.Fprintf(&b, "  before: %s  count=%s\n", c.Assignment(), before.Rows[0][0])
+	servers[3].Close() // server D dies
 	if err := c.FailNode("D"); err != nil {
 		return "", err
 	}
@@ -234,7 +236,12 @@ func FigureG() (string, error) {
 	fmt.Fprintf(&b, "  fail D: %s  count=%s (results identical: %v)\n",
 		c.Assignment(), after.Rows[0][0],
 		types.Compare(before.Rows[0][1], after.Rows[0][1]) == 0)
-	if err := c.AddNode(mpp.NodeSpec{Name: "D", Cores: 8, MemBytes: 64 << 20}); err != nil {
+	nodes, restarted, err := mpp.StartServers([]mpp.NetNode{spec("D")}, fs)
+	if err != nil {
+		return "", err
+	}
+	servers = append(servers, restarted...)
+	if err := c.AddNode(nodes[0]); err != nil {
 		return "", err
 	}
 	fmt.Fprintf(&b, "  rejoin: %s\n", c.Assignment())
@@ -247,72 +254,86 @@ func FigureH(rowsPerNode int) (string, error) {
 	var b strings.Builder
 	b.WriteString("F-H integrated Spark: pushdown and scaling\n")
 	for _, nodes := range []int{1, 2, 4} {
-		var specs []mpp.NodeSpec
-		for i := 0; i < nodes; i++ {
-			specs = append(specs, mpp.NodeSpec{Name: fmt.Sprintf("n%d", i), Cores: 4, MemBytes: 32 << 20})
-		}
-		c, err := mpp.NewCluster(specs, 2, nil)
+		line, err := figureHRun(nodes, rowsPerNode)
 		if err != nil {
 			return "", err
 		}
-		schema := types.Schema{
-			{Name: "id", Kind: types.KindInt},
-			{Name: "x", Kind: types.KindFloat, Nullable: true},
-			{Name: "y", Kind: types.KindFloat, Nullable: true},
-		}
-		if err := c.CreateTable("pts", schema, mpp.TableOptions{DistributeBy: "id"}); err != nil {
-			return "", err
-		}
-		var rows []types.Row
-		total := rowsPerNode * nodes
-		for i := 0; i < total; i++ {
-			x := float64(i % 1000)
-			rows = append(rows, types.Row{
-				types.NewInt(int64(i)), types.NewFloat(x), types.NewFloat(3*x + 2),
-			})
-		}
-		if err := c.Insert("pts", rows); err != nil {
-			return "", err
-		}
-		d, err := spark.NewDispatcher(c)
-		if err != nil {
-			return "", err
-		}
-		t0 := time.Now()
-		id := d.SubmitFunc("bench", "glm", func(ctx *spark.Context) (interface{}, error) {
-			ds, err := ctx.Table("pts", "")
-			if err != nil {
-				return nil, err
-			}
-			return ds.TrainGLM(2, []int{1}, spark.GLMConfig{Family: spark.Gaussian, Iterations: 50, LearnRate: 0.3})
-		})
-		if _, err := d.Wait(id); err != nil {
-			d.Close()
-			return "", err
-		}
-		glmTime := time.Since(t0)
-
-		// Pushdown vs full transfer.
-		r0, _ := d.TransferStats()
-		id = d.SubmitFunc("bench", "push", func(ctx *spark.Context) (interface{}, error) {
-			ds, err := ctx.Table("pts", "x < 100")
-			if err != nil {
-				return nil, err
-			}
-			return ds.Count(), nil
-		})
-		if _, err := d.Wait(id); err != nil {
-			d.Close()
-			return "", err
-		}
-		r1, _ := d.TransferStats()
-		d.Close()
-		moved := r1 - r0
-		fmt.Fprintf(&b, "  %d node(s): GLM over %7d rows in %7v; pushdown moved %d of %d rows (%.0f%% saved)\n",
-			nodes, total, glmTime.Round(time.Millisecond),
-			moved, int64(total), 100*(1-float64(moved)/float64(total)))
+		b.WriteString(line)
 	}
 	return b.String(), nil
+}
+
+// figureHRun measures one F-H cluster size: nodes in-process shard
+// servers with two shards each.
+func figureHRun(nodes, rowsPerNode int) (string, error) {
+	var specs []mpp.NetNode
+	for i := 0; i < nodes; i++ {
+		specs = append(specs, mpp.NetNode{Name: fmt.Sprintf("n%d", i), Cores: 4, MemBytes: 32 << 20})
+	}
+	c, servers, err := mpp.StartLocal(specs, 2*nodes, clusterfs.New())
+	if err != nil {
+		return "", err
+	}
+	defer mpp.CloseServers(servers)
+	defer c.Close()
+	schema := types.Schema{
+		{Name: "id", Kind: types.KindInt},
+		{Name: "x", Kind: types.KindFloat, Nullable: true},
+		{Name: "y", Kind: types.KindFloat, Nullable: true},
+	}
+	if err := c.CreateTable("pts", schema, mpp.TableOptions{DistributeBy: "id"}); err != nil {
+		return "", err
+	}
+	var rows []types.Row
+	total := rowsPerNode * nodes
+	for i := 0; i < total; i++ {
+		x := float64(i % 1000)
+		rows = append(rows, types.Row{
+			types.NewInt(int64(i)), types.NewFloat(x), types.NewFloat(3*x + 2),
+		})
+	}
+	if err := c.Insert("pts", rows); err != nil {
+		return "", err
+	}
+	engines, err := mpp.ShardEngines(c.NShards(), servers)
+	if err != nil {
+		return "", err
+	}
+	d, err := spark.NewDispatcher(engines)
+	if err != nil {
+		return "", err
+	}
+	defer d.Close()
+	t0 := time.Now()
+	id := d.SubmitFunc("bench", "glm", func(ctx *spark.Context) (interface{}, error) {
+		ds, err := ctx.Table("pts", "")
+		if err != nil {
+			return nil, err
+		}
+		return ds.TrainGLM(2, []int{1}, spark.GLMConfig{Family: spark.Gaussian, Iterations: 50, LearnRate: 0.3})
+	})
+	if _, err := d.Wait(id); err != nil {
+		return "", err
+	}
+	glmTime := time.Since(t0)
+
+	// Pushdown vs full transfer.
+	r0, _ := d.TransferStats()
+	id = d.SubmitFunc("bench", "push", func(ctx *spark.Context) (interface{}, error) {
+		ds, err := ctx.Table("pts", "x < 100")
+		if err != nil {
+			return nil, err
+		}
+		return ds.Count(), nil
+	})
+	if _, err := d.Wait(id); err != nil {
+		return "", err
+	}
+	r1, _ := d.TransferStats()
+	moved := r1 - r0
+	return fmt.Sprintf("  %d node(s): GLM over %7d rows in %7v; pushdown moved %d of %d rows (%.0f%% saved)\n",
+		nodes, total, glmTime.Round(time.Millisecond),
+		moved, int64(total), 100*(1-float64(moved)/float64(total))), nil
 }
 
 // FigureP reports morsel-driven parallel speedups: the serial scan and

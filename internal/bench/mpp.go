@@ -21,15 +21,17 @@ func FigureMPP(rows int) (string, error) {
 	var b strings.Builder
 	b.WriteString("F-MPP distributed runtime: shuffle parity and HA failover\n")
 
-	single, _, err := netClusterOf(1, 1)
+	single, singleServers, err := netClusterOf(1, 1)
 	if err != nil {
 		return "", err
 	}
+	defer mpp.CloseServers(singleServers)
 	defer single.Close()
 	multi, servers, err := netClusterOf(3, 6)
 	if err != nil {
 		return "", err
 	}
+	defer mpp.CloseServers(servers)
 	defer multi.Close()
 
 	for _, c := range []*mpp.NetCluster{single, multi} {
@@ -93,23 +95,11 @@ func FigureMPP(rows int) (string, error) {
 // netClusterOf boots n in-process shard servers over one in-memory
 // clustered filesystem plus a coordinator with nShards shards.
 func netClusterOf(n, nShards int) (*mpp.NetCluster, []*shardrpc.Server, error) {
-	fs := clusterfs.New()
-	var servers []*shardrpc.Server
 	var nodes []mpp.NetNode
 	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("node%c", 'A'+i)
-		srv := shardrpc.NewServer(name, fs)
-		if err := srv.Start("127.0.0.1:0"); err != nil {
-			return nil, nil, err
-		}
-		servers = append(servers, srv)
-		nodes = append(nodes, mpp.NetNode{Name: name, Addr: srv.Addr(), Cores: 4, MemBytes: 256 << 20})
+		nodes = append(nodes, mpp.NetNode{Name: fmt.Sprintf("node%c", 'A'+i), Cores: 4, MemBytes: 256 << 20})
 	}
-	c, err := mpp.NewNetCluster(nodes, nShards, fs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return c, servers, nil
+	return mpp.StartLocal(nodes, nShards, clusterfs.New())
 }
 
 func loadMPPTables(c *mpp.NetCluster, rows int) error {

@@ -10,6 +10,7 @@ package clusterfs
 
 import (
 	"fmt"
+	iofs "io/fs"
 	"sort"
 	"strings"
 	"sync"
@@ -61,7 +62,8 @@ func (fs *FS) WriteFile(path string, data []byte) {
 	fs.files[path] = cp
 }
 
-// ReadFile returns the file's contents.
+// ReadFile returns the file's contents. A missing file's error wraps
+// io/fs.ErrNotExist.
 func (fs *FS) ReadFile(path string) ([]byte, error) {
 	if fs.dir != "" {
 		data, err := fs.dirRead(path)
@@ -76,7 +78,7 @@ func (fs *FS) ReadFile(path string) ([]byte, error) {
 	defer fs.mu.RUnlock()
 	data, ok := fs.files[path]
 	if !ok {
-		return nil, fmt.Errorf("clusterfs: %s: no such file", path)
+		return nil, fmt.Errorf("clusterfs: %s: %w", path, iofs.ErrNotExist)
 	}
 	fs.reads.Add(1)
 	fs.bytesRead.Add(uint64(len(data)))

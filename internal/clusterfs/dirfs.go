@@ -80,7 +80,7 @@ func (fs *FS) dirRead(path string) ([]byte, error) {
 	}
 	data, err := os.ReadFile(hp)
 	if err != nil {
-		return nil, fmt.Errorf("clusterfs: %s: no such file", path)
+		return nil, fmt.Errorf("clusterfs: %s: %w", path, err)
 	}
 	return data, nil
 }

@@ -15,6 +15,8 @@ package deploy
 import (
 	"fmt"
 	"runtime"
+
+	"dashdb/internal/mpp"
 )
 
 // Hardware describes a target host, as detected or specified.
@@ -67,14 +69,12 @@ type EngineConfig struct {
 	ShardsPerNode   int // MPP shard fan-out
 }
 
-// Memory shares, as fractions of host RAM. The remainder is left to the
-// OS and working memory.
+// Memory shares, as fractions of host RAM: the buffer pool, sort heap
+// and hash heap shares are mpp's (a cluster node applies them per
+// shard); the remainder is left to the OS and working memory.
 const (
-	bufferPoolShare = 0.40
-	sortHeapShare   = 0.15
-	hashHeapShare   = 0.15
-	lockListShare   = 0.02
-	logBufferShare  = 0.03
+	lockListShare  = 0.02
+	logBufferShare = 0.03
 )
 
 // maxQueryParallelism caps the derived per-query parallelism degree. The
@@ -98,9 +98,9 @@ func AutoConfigure(hw Hardware) EngineConfig {
 		ram = 1 << 30
 	}
 	cfg := EngineConfig{
-		BufferPoolBytes: int64(float64(ram) * bufferPoolShare),
-		SortHeapBytes:   int64(float64(ram) * sortHeapShare),
-		HashHeapBytes:   int64(float64(ram) * hashHeapShare),
+		BufferPoolBytes: int64(float64(ram) * mpp.BufferPoolShare),
+		SortHeapBytes:   int64(float64(ram) * mpp.SortHeapShare),
+		HashHeapBytes:   int64(float64(ram) * mpp.HashHeapShare),
 		LockListBytes:   int64(float64(ram) * lockListShare),
 		LogBufferBytes:  int64(float64(ram) * logBufferShare),
 		Parallelism:     clampInt(cores, 1, maxQueryParallelism),

@@ -6,22 +6,32 @@ import (
 
 	"dashdb/internal/clusterfs"
 	"dashdb/internal/mpp"
+	"dashdb/internal/shardrpc"
 )
 
 // ClusterDeployment is the outcome of deploying dashDB Local across a set
-// of hosts: a running MPP cluster plus the simulated deployment timeline
-// (experiment F-A: "consistently able to deploy to large clusters in
-// under 30 minutes, fully configured").
+// of hosts: a running MPP cluster (one in-process shard server per host)
+// plus the simulated deployment timeline (experiment F-A: "consistently
+// able to deploy to large clusters in under 30 minutes, fully
+// configured").
 type ClusterDeployment struct {
-	Cluster    *mpp.Cluster
-	Containers []*Container
-	Timeline   Timeline
+	Cluster  *mpp.NetCluster
+	Servers  []*shardrpc.Server
+	Timeline Timeline
+}
+
+// Close shuts the coordinator and every shard server down.
+func (d *ClusterDeployment) Close() {
+	d.Cluster.Close()
+	mpp.CloseServers(d.Servers)
 }
 
 // DeployCluster pulls and runs the image on every host in parallel (the
 // timeline takes the slowest host, since hosts deploy concurrently), then
 // forms the MPP cluster over the shared filesystem with auto-configured
-// shard fan-out.
+// shard fan-out: nodes × ShardsPerNode, capped at the cluster's total
+// cores. Each node is given its host's full RAM; the cluster divides it
+// into per-shard heaps.
 func DeployCluster(reg *Registry, hosts []*Host, imageName, version string, fs *clusterfs.FS) (*ClusterDeployment, error) {
 	if len(hosts) == 0 {
 		return nil, fmt.Errorf("deploy: no hosts")
@@ -42,21 +52,24 @@ func DeployCluster(reg *Registry, hosts []*Host, imageName, version string, fs *
 	formation := 30*time.Second + time.Duration(len(hosts))*2*time.Second
 	slowest.Phases = append(slowest.Phases, Phase{Name: "cluster formation", Duration: formation})
 
-	var nodes []mpp.NodeSpec
-	shardsPerNode := 1
+	var nodes []mpp.NetNode
+	shardsPerNode, totalCores := 1, 0
 	for _, c := range containers {
-		nodes = append(nodes, mpp.NodeSpec{
+		nodes = append(nodes, mpp.NetNode{
 			Name:     c.Host.Name,
 			Cores:    c.Host.HW.Cores,
-			MemBytes: c.Config.BufferPoolBytes,
+			MemBytes: c.Host.HW.RAMBytes,
 		})
-		if c.Config.ShardsPerNode > shardsPerNode {
-			shardsPerNode = c.Config.ShardsPerNode
-		}
+		shardsPerNode = max(shardsPerNode, c.Config.ShardsPerNode)
+		totalCores += c.Host.HW.Cores
 	}
-	cluster, err := mpp.NewCluster(nodes, shardsPerNode, fs)
+	nShards := len(nodes) * shardsPerNode
+	if totalCores > 0 {
+		nShards = min(nShards, totalCores)
+	}
+	cluster, servers, err := mpp.StartLocal(nodes, nShards, fs)
 	if err != nil {
 		return nil, err
 	}
-	return &ClusterDeployment{Cluster: cluster, Containers: containers, Timeline: slowest}, nil
+	return &ClusterDeployment{Cluster: cluster, Servers: servers, Timeline: slowest}, nil
 }

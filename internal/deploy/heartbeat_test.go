@@ -8,7 +8,6 @@ import (
 
 	"dashdb/internal/clusterfs"
 	"dashdb/internal/mpp"
-	"dashdb/internal/shardrpc"
 	"dashdb/internal/types"
 )
 
@@ -69,23 +68,14 @@ func TestMonitorAddRemove(t *testing.T) {
 // server dies, heartbeats miss, the monitor fails the node over, and
 // the cluster keeps answering with all rows intact.
 func TestMonitorDrivesNetClusterFailover(t *testing.T) {
-	fs := clusterfs.New()
-	var servers []*shardrpc.Server
-	var nodes []mpp.NetNode
-	for i := 0; i < 2; i++ {
-		name := fmt.Sprintf("hb%d", i)
-		srv := shardrpc.NewServer(name, fs)
-		if err := srv.Start("127.0.0.1:0"); err != nil {
-			t.Fatalf("start: %v", err)
-		}
-		t.Cleanup(srv.Close)
-		servers = append(servers, srv)
-		nodes = append(nodes, mpp.NetNode{Name: name, Addr: srv.Addr(), Cores: 2, MemBytes: 64 << 20})
-	}
-	c, err := mpp.NewNetCluster(nodes, 4, fs)
+	c, servers, err := mpp.StartLocal([]mpp.NetNode{
+		{Name: "hb0", Cores: 2, MemBytes: 64 << 20},
+		{Name: "hb1", Cores: 2, MemBytes: 64 << 20},
+	}, 4, clusterfs.New())
 	if err != nil {
 		t.Fatalf("cluster: %v", err)
 	}
+	t.Cleanup(func() { mpp.CloseServers(servers) })
 	t.Cleanup(c.Close)
 	if err := c.CreateTable("t", types.Schema{{Name: "v", Kind: types.KindInt}}, mpp.TableOptions{}); err != nil {
 		t.Fatalf("create: %v", err)

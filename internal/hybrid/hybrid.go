@@ -69,7 +69,7 @@ func (c *CloudService) Engine() *core.DB { return c.db }
 // SyncToCloud replicates the on-premises cluster into the cloud instance:
 // schemas are re-created and all live rows copied (the hot-backup / DR
 // clone). Existing same-named cloud tables are replaced.
-func SyncToCloud(cl *mpp.Cluster, cloud *CloudService) (tables, rows int, err error) {
+func SyncToCloud(cl *mpp.NetCluster, cloud *CloudService) (tables, rows int, err error) {
 	for _, ti := range cl.Tables() {
 		if _, exists := cloud.db.Table(ti.Name); exists {
 			if err := cloud.db.Catalog().DropTable(ti.Name); err != nil {
@@ -96,7 +96,7 @@ func SyncToCloud(cl *mpp.Cluster, cloud *CloudService) (tables, rows int, err er
 // SyncFromCloud moves a cloud table down into the cluster (the
 // prototype-then-harden flow). The table is created distributed by its
 // first column unless opts overrides placement.
-func SyncFromCloud(cloud *CloudService, cl *mpp.Cluster, table string, opts mpp.TableOptions) (int, error) {
+func SyncFromCloud(cloud *CloudService, cl *mpp.NetCluster, table string, opts mpp.TableOptions) (int, error) {
 	t, ok := cloud.db.Table(table)
 	if !ok {
 		return 0, fmt.Errorf("hybrid: cloud table %s does not exist", table)
@@ -117,7 +117,7 @@ func SyncFromCloud(cloud *CloudService, cl *mpp.Cluster, table string, opts mpp.
 // VerifyPortability runs the same query on both sides and reports whether
 // the result sets match (order-insensitively) — the "near perfect
 // portability of analytics code" check of §II.F.
-func VerifyPortability(cl *mpp.Cluster, cloud *CloudService, query string) (bool, error) {
+func VerifyPortability(cl *mpp.NetCluster, cloud *CloudService, query string) (bool, error) {
 	local, err := cl.Query(query)
 	if err != nil {
 		return false, fmt.Errorf("hybrid: on-premises: %w", err)

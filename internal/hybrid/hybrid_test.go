@@ -3,19 +3,22 @@ package hybrid
 import (
 	"testing"
 
+	"dashdb/internal/clusterfs"
 	"dashdb/internal/mpp"
 	"dashdb/internal/types"
 )
 
-func onPremCluster(t *testing.T) *mpp.Cluster {
+func onPremCluster(t *testing.T) *mpp.NetCluster {
 	t.Helper()
-	cl, err := mpp.NewCluster([]mpp.NodeSpec{
+	cl, servers, err := mpp.StartLocal([]mpp.NetNode{
 		{Name: "A", Cores: 4, MemBytes: 32 << 20},
 		{Name: "B", Cores: 4, MemBytes: 32 << 20},
-	}, 2, nil)
+	}, 4, clusterfs.New())
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { mpp.CloseServers(servers) })
+	t.Cleanup(cl.Close)
 	schema := types.Schema{
 		{Name: "id", Kind: types.KindInt},
 		{Name: "region", Kind: types.KindString, Nullable: true},

@@ -2,15 +2,28 @@
 // elasticity/HA mechanics of §II.E and Figure 9. Data is hash-partitioned
 // into a number of shards several factors larger than the number of
 // servers; each shard is a full engine whose file-set lives on the
-// clustered filesystem. The association of shards to nodes is the only
-// mutable cluster state: failover, elastic shrink and elastic growth are
-// all the same operation — re-associate shards over the current node set
-// and recompute per-shard memory and parallelism.
+// clustered filesystem.
+//
+// NetCluster is the cluster: shards live behind shardrpc servers, every
+// acknowledged statement is persisted, and failover, elastic shrink and
+// elastic growth are all the same operation — re-associate shards over
+// the current node set (minimal movement) and recompute per-shard memory
+// and parallelism. StartLocal boots it over in-process servers; the root
+// API, deployment, Spark, hybrid sync and the HA figures all run on it.
+//
+// Cluster is a static in-process scatter/gather harness kept only for
+// Table 1 Tests 1–3: fixed shards, no persistence, no membership
+// changes. It stays because per-statement persistence still costs too
+// much for those tests. A port of Table 1 onto a loopback NetCluster
+// measured Test 2 at 0.1x (gate > 0.5; 1.9x here), Test 3 at 0.8x
+// (gate > 1; 2.0x here) and Test 1 at 1.2x (1.7x here).
+// columnar.Table.SaveMeta was about half of Test 2's CPU, and persisting
+// only the statement's target table still gave 0.2x. Table 1 moves once
+// shards keep a redo log instead of rewriting table metadata per DML.
 package mpp
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -20,17 +33,11 @@ import (
 	"dashdb/internal/types"
 )
 
-// NodeSpec describes one server host.
+// NodeSpec describes one server host of the Table 1 harness.
 type NodeSpec struct {
 	Name     string
 	Cores    int
 	MemBytes int64
-}
-
-// Node is one cluster member.
-type Node struct {
-	Spec NodeSpec
-	Up   bool
 }
 
 // Shard is one data partition: a complete engine over its own file-set.
@@ -61,29 +68,25 @@ type tableMeta struct {
 type Stats struct {
 	FastPathQueries   uint64
 	GatherPathQueries uint64
-	Rebalances        uint64
 }
 
-// Cluster is the MPP coordinator plus its shards and nodes.
+// Cluster is the in-process Table 1 harness: a coordinator over a fixed
+// set of shard engines.
 type Cluster struct {
 	mu     sync.RWMutex
-	fs     *clusterfs.FS
-	nodes  []*Node
 	shards []*Shard
-	// assign maps shard ID -> node index; the Figure 9 state.
-	assign []int
 	tables map[string]*tableMeta
 	stats  Stats
 	// reg is the cluster-level query history: per-shard telemetry records
 	// merged by the coordinator after scatter/gather.
 	reg *telemetry.Registry
-	// memPerShardFn recomputes per-shard memory after re-association.
-	shardsPerNode int
 }
 
 // NewCluster builds a cluster over the node specs with shardsPerNode data
 // shards per server (the paper: shard count "several factors larger than
 // the number of servers, though not larger than the cumulative cores").
+// Shards go round-robin over the nodes; each gets its node's memory and
+// cores divided by the shards the node hosts.
 func NewCluster(nodes []NodeSpec, shardsPerNode int, fs *clusterfs.FS) (*Cluster, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("mpp: cluster needs at least one node")
@@ -103,60 +106,22 @@ func NewCluster(nodes []NodeSpec, shardsPerNode int, fs *clusterfs.FS) (*Cluster
 		fs = clusterfs.New()
 	}
 	c := &Cluster{
-		fs:            fs,
-		tables:        make(map[string]*tableMeta),
-		reg:           telemetry.NewRegistry(telemetry.DefaultHistorySize),
-		shardsPerNode: shardsPerNode,
+		tables: make(map[string]*tableMeta),
+		reg:    telemetry.NewRegistry(telemetry.DefaultHistorySize),
 	}
-	for _, spec := range nodes {
-		c.nodes = append(c.nodes, &Node{Spec: spec, Up: true})
+	perNode := make([]int, len(nodes))
+	for i := 0; i < nShards; i++ {
+		perNode[i%len(nodes)]++
 	}
 	for i := 0; i < nShards; i++ {
-		c.shards = append(c.shards, &Shard{ID: i})
-		c.assign = append(c.assign, i%len(nodes))
+		node, hosted := nodes[i%len(nodes)], perNode[i%len(nodes)]
+		c.shards = append(c.shards, &Shard{ID: i, DB: core.Open(core.Config{
+			BufferPoolBytes: max(1<<20, int(node.MemBytes)/hosted),
+			Parallelism:     max(1, node.Cores/hosted),
+			Store:           fs.ShardStore(i),
+		})})
 	}
-	c.configureShardsLocked()
 	return c, nil
-}
-
-// configureShardsLocked (re)creates or resizes shard engines according to
-// the current assignment: per-shard RAM = node memory / shards-on-node,
-// parallelism = node cores / shards-on-node (minimum 1).
-func (c *Cluster) configureShardsLocked() {
-	perNode := make([]int, len(c.nodes))
-	for _, ni := range c.assign {
-		perNode[ni]++
-	}
-	for _, sh := range c.shards {
-		ni := c.assign[sh.ID]
-		node := c.nodes[ni]
-		memShare := int(node.Spec.MemBytes) / max(1, perNode[ni])
-		if memShare < 1<<20 {
-			memShare = 1 << 20
-		}
-		par := node.Spec.Cores / max(1, perNode[ni])
-		if par < 1 {
-			par = 1
-		}
-		if sh.DB == nil {
-			sh.DB = core.Open(core.Config{
-				BufferPoolBytes: memShare,
-				Parallelism:     par,
-				Store:           c.fs.ShardStore(sh.ID),
-			})
-			continue
-		}
-		// Existing shard re-associated: adjust memory; data stays on the
-		// clustered filesystem (§II.E — no copy).
-		sh.DB.Pool().Resize(memShare)
-	}
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Shards returns the shard list (read-only use).
@@ -166,17 +131,6 @@ func (c *Cluster) Shards() []*Shard {
 	return append([]*Shard(nil), c.shards...)
 }
 
-// Nodes returns the node list snapshot.
-func (c *Cluster) Nodes() []Node {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	out := make([]Node, len(c.nodes))
-	for i, n := range c.nodes {
-		out[i] = *n
-	}
-	return out
-}
-
 // Stats returns coordinator counters.
 func (c *Cluster) Stats() Stats {
 	c.mu.RLock()
@@ -184,104 +138,9 @@ func (c *Cluster) Stats() Stats {
 	return c.stats
 }
 
-// FS exposes the clustered filesystem.
-func (c *Cluster) FS() *clusterfs.FS { return c.fs }
-
-// Telemetry exposes the cluster-level query-history registry: one merged
-// record per distributed query, with per-shard counters summed.
-func (c *Cluster) Telemetry() *telemetry.Registry { return c.reg }
-
 // History returns the cluster's merged query-history records, oldest
 // first.
 func (c *Cluster) History() []telemetry.QueryRecord { return c.reg.History() }
-
-// ShardsOnNode returns the shard IDs currently associated with the node.
-func (c *Cluster) ShardsOnNode(name string) []int {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []int
-	for sid, ni := range c.assign {
-		if c.nodes[ni].Spec.Name == name && c.nodes[ni].Up {
-			out = append(out, sid)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// Assignment renders the shard→node map for display ("A:6 B:6 C:6 D:6").
-func (c *Cluster) Assignment() string {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	counts := make(map[string]int)
-	for _, ni := range c.assign {
-		counts[c.nodes[ni].Spec.Name]++
-	}
-	names := make([]string, 0, len(counts))
-	for n := range counts {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	parts := make([]string, len(names))
-	for i, n := range names {
-		parts[i] = fmt.Sprintf("%s:%d", n, counts[n])
-	}
-	return strings.Join(parts, " ")
-}
-
-// TableInfo describes one cluster table for introspection and hybrid
-// synchronization.
-type TableInfo struct {
-	Name         string
-	Schema       types.Schema
-	DistributeBy string
-	Replicated   bool
-}
-
-// Tables lists the cluster's tables.
-func (c *Cluster) Tables() []TableInfo {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	var out []TableInfo
-	for name, meta := range c.tables {
-		ti := TableInfo{Name: name, Schema: meta.schema, Replicated: meta.repl}
-		if meta.distCol >= 0 && meta.distCol < len(meta.schema) {
-			ti.DistributeBy = meta.schema[meta.distCol].Name
-		}
-		out = append(out, ti)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// TableRows gathers every live row of a table to the caller (hybrid sync
-// and diagnostics; replicated tables return one copy).
-func (c *Cluster) TableRows(name string) ([]types.Row, error) {
-	c.mu.RLock()
-	meta, ok := c.tables[strings.ToLower(name)]
-	shards := c.shards
-	c.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("mpp: table %s does not exist", name)
-	}
-	if meta.repl {
-		tbl, _ := shards[0].DB.Table(name)
-		return tbl.SelectWhere(nil)
-	}
-	var all []types.Row
-	for _, sh := range shards {
-		tbl, ok := sh.DB.Table(name)
-		if !ok {
-			return nil, fmt.Errorf("mpp: shard %d missing table %s", sh.ID, name)
-		}
-		rows, err := tbl.SelectWhere(nil)
-		if err != nil {
-			return nil, err
-		}
-		all = append(all, rows...)
-	}
-	return all, nil
-}
 
 // CreateTable creates a table on every shard and registers coordinator
 // metadata.
@@ -396,115 +255,4 @@ func (c *Cluster) Rows(table string) (int, error) {
 		total += tbl.Rows()
 	}
 	return total, nil
-}
-
-// --- HA and elasticity (Figure 9) -------------------------------------------
-
-// FailNode marks a node down and re-associates its shards round-robin
-// over the surviving nodes, shrinking per-shard memory and parallelism.
-func (c *Cluster) FailNode(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.removeNodeLocked(name, false)
-}
-
-// RemoveNode performs elastic contraction: the same re-association as a
-// failure, but deliberate (§II.E).
-func (c *Cluster) RemoveNode(name string) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.removeNodeLocked(name, true)
-}
-
-func (c *Cluster) removeNodeLocked(name string, deliberate bool) error {
-	var victim = -1
-	var survivors []int
-	for i, n := range c.nodes {
-		if n.Spec.Name == name && n.Up {
-			victim = i
-			continue
-		}
-		if n.Up {
-			survivors = append(survivors, i)
-		}
-	}
-	if victim < 0 {
-		return fmt.Errorf("mpp: node %s not found or already down", name)
-	}
-	if len(survivors) == 0 {
-		return fmt.Errorf("mpp: cannot remove the last node")
-	}
-	c.nodes[victim].Up = false
-	// Re-associate the victim's shards round-robin across survivors,
-	// keeping the cluster a well-balanced unit (Figure 9: 4×6 → 3×8).
-	next := 0
-	for sid, ni := range c.assign {
-		if ni == victim {
-			c.assign[sid] = survivors[next%len(survivors)]
-			next++
-		}
-	}
-	c.stats.Rebalances++
-	c.configureShardsLocked()
-	return nil
-}
-
-// AddNode performs elastic growth (or reinstates a repaired node): shards
-// are re-associated onto the new node until the cluster is balanced, and
-// per-shard RAM and parallelism increase accordingly.
-func (c *Cluster) AddNode(spec NodeSpec) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	idx := -1
-	for i, n := range c.nodes {
-		if n.Spec.Name == spec.Name {
-			if n.Up {
-				return fmt.Errorf("mpp: node %s already in cluster", spec.Name)
-			}
-			idx = i
-			n.Up = true
-			n.Spec = spec
-			break
-		}
-	}
-	if idx < 0 {
-		c.nodes = append(c.nodes, &Node{Spec: spec, Up: true})
-		idx = len(c.nodes) - 1
-	}
-	// Move shards from the most loaded nodes onto the new node until
-	// balanced.
-	upCount := 0
-	for _, n := range c.nodes {
-		if n.Up {
-			upCount++
-		}
-	}
-	target := len(c.shards) / upCount
-	moved := 0
-	for moved < target {
-		// Find the most loaded node other than idx.
-		counts := make([]int, len(c.nodes))
-		for _, ni := range c.assign {
-			counts[ni]++
-		}
-		donor, most := -1, 0
-		for i, n := range c.nodes {
-			if i != idx && n.Up && counts[i] > most {
-				donor, most = i, counts[i]
-			}
-		}
-		if donor < 0 || most <= target {
-			break
-		}
-		for sid, ni := range c.assign {
-			if ni == donor {
-				c.assign[sid] = idx
-				moved++
-				break
-			}
-		}
-	}
-	c.stats.Rebalances++
-	c.configureShardsLocked()
-	return nil
 }

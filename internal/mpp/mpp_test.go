@@ -55,9 +55,6 @@ func TestClusterShardLayout(t *testing.T) {
 	if len(c.Shards()) != 24 {
 		t.Fatalf("shards %d want 24", len(c.Shards()))
 	}
-	if got := c.Assignment(); got != "A:6 B:6 C:6 D:6" {
-		t.Fatalf("assignment %q", got)
-	}
 	// Shard count clamps at cumulative cores.
 	c2, _ := NewCluster([]NodeSpec{{Name: "X", Cores: 2, MemBytes: 1 << 20}}, 8, nil)
 	if len(c2.Shards()) != 2 {
@@ -249,67 +246,6 @@ func TestSQLDDL(t *testing.T) {
 	}
 }
 
-// TestFigure9Failover reproduces the paper's Figure 9: 4 servers × 6
-// shards; server D fails; A, B, C now serve 8 shards each; the cluster
-// keeps answering queries with identical results.
-func TestFigure9Failover(t *testing.T) {
-	c := newTestCluster(t, 4800)
-	before, err := c.Query(`SELECT COUNT(*), SUM(amount) FROM sales`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.FailNode("D"); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Assignment(); got != "A:8 B:8 C:8" {
-		t.Fatalf("post-failover assignment %q", got)
-	}
-	after, err := c.Query(`SELECT COUNT(*), SUM(amount) FROM sales`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if types.Compare(before.Rows[0][0], after.Rows[0][0]) != 0 ||
-		types.Compare(before.Rows[0][1], after.Rows[0][1]) != 0 {
-		t.Fatalf("results changed across failover: %v vs %v", before.Rows[0], after.Rows[0])
-	}
-	// Reinstate D (elastic growth): back to 6 shards each.
-	if err := c.AddNode(NodeSpec{Name: "D", Cores: 8, MemBytes: 64 << 20}); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.Assignment(); got != "A:6 B:6 C:6 D:6" {
-		t.Fatalf("post-rejoin assignment %q", got)
-	}
-	if c.Stats().Rebalances != 2 {
-		t.Fatalf("rebalances %d", c.Stats().Rebalances)
-	}
-}
-
-func TestElasticShrinkGuards(t *testing.T) {
-	c, _ := NewCluster([]NodeSpec{{Name: "A", Cores: 2, MemBytes: 8 << 20}}, 2, nil)
-	if err := c.RemoveNode("A"); err == nil {
-		t.Fatal("removing the last node must fail")
-	}
-	if err := c.FailNode("Z"); err == nil {
-		t.Fatal("failing an unknown node must fail")
-	}
-	c2 := newTestCluster(t, 0)
-	if err := c2.AddNode(NodeSpec{Name: "A", Cores: 8, MemBytes: 1 << 20}); err == nil {
-		t.Fatal("adding a live duplicate node must fail")
-	}
-}
-
-func TestShardsOnNode(t *testing.T) {
-	c := newTestCluster(t, 0)
-	shards := c.ShardsOnNode("A")
-	if len(shards) != 6 {
-		t.Fatalf("A has %d shards", len(shards))
-	}
-	c.FailNode("A")
-	if len(c.ShardsOnNode("A")) != 0 {
-		t.Fatal("failed node still lists shards")
-	}
-}
-
 func TestReplicatedTableCounts(t *testing.T) {
 	c := newTestCluster(t, 0)
 	dim := types.Schema{{Name: "k", Kind: types.KindInt}}
@@ -383,8 +319,9 @@ func BenchmarkMPPFastPathAggregate(b *testing.B) {
 }
 
 // Property: for random row sets, hash routing lands every row on exactly
-// one shard and cluster-wide aggregates equal local computation, before
-// and after a failover.
+// one shard and cluster-wide aggregates equal local computation
+// (TestFigure9Failover checks the same totals across a NetCluster
+// failover).
 func TestRoutingConservationProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -424,87 +361,10 @@ func TestRoutingConservationProperty(t *testing.T) {
 			}
 			return r.Rows[0][0].Int() == int64(n) && r.Rows[0][1].Int() == wantSum
 		}
-		if !check() {
-			return false
-		}
-		if err := c.FailNode("B"); err != nil {
-			return false
-		}
 		return check()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
-	}
-}
-
-// TestCheckpointSnapshotRestore exercises the §II.E portability flow:
-// checkpoint a loaded cluster, snapshot the clustered filesystem, and
-// restore onto an ENTIRELY DIFFERENT physical topology (3 bigger nodes
-// instead of 4) — queries answer identically and the restored cluster
-// accepts new writes and failovers.
-func TestCheckpointSnapshotRestore(t *testing.T) {
-	src := newTestCluster(t, 5000)
-	dim := types.Schema{{Name: "region", Kind: types.KindString}, {Name: "zone", Kind: types.KindString}}
-	if err := src.CreateTable("regions", dim, TableOptions{Replicated: true}); err != nil {
-		t.Fatal(err)
-	}
-	src.Insert("regions", []types.Row{
-		{types.NewString("north"), types.NewString("Z1")},
-		{types.NewString("south"), types.NewString("Z2")},
-	})
-	before, err := src.Query(`SELECT COUNT(*), SUM(amount) FROM sales`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := src.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	// "Copy the clustered filesystem and docker run on new hardware."
-	snap := src.FS().Snapshot()
-	restored, err := Restore([]NodeSpec{
-		{Name: "X", Cores: 16, MemBytes: 128 << 20},
-		{Name: "Y", Cores: 16, MemBytes: 128 << 20},
-		{Name: "Z", Cores: 16, MemBytes: 128 << 20},
-	}, snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	after, err := restored.Query(`SELECT COUNT(*), SUM(amount) FROM sales`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if types.Compare(before.Rows[0][0], after.Rows[0][0]) != 0 ||
-		types.Compare(before.Rows[0][1], after.Rows[0][1]) != 0 {
-		t.Fatalf("restore changed results: %v vs %v", before.Rows[0], after.Rows[0])
-	}
-	// Replicated dimension still joins.
-	r, err := restored.Query(`SELECT COUNT(*) FROM sales s JOIN regions r ON s.region = r.region`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Rows[0][0].Int() != 2500 { // north + south halves
-		t.Fatalf("restored join %v", r.Rows[0])
-	}
-	// The restored cluster is live: writes, DDL and failover work.
-	if _, err := restored.Query(`INSERT INTO sales VALUES (99999, 'north', 1)`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := restored.Query(`CREATE TABLE fresh (a BIGINT NOT NULL)`); err != nil {
-		t.Fatal(err)
-	}
-	if err := restored.FailNode("Z"); err != nil {
-		t.Fatal(err)
-	}
-	r, err = restored.Query(`SELECT COUNT(*) FROM sales`)
-	if err != nil || r.Rows[0][0].Int() != 5001 {
-		t.Fatalf("post-restore failover: %v err %v", r, err)
-	}
-	// Restore guards.
-	if _, err := Restore(nil, snap); err == nil {
-		t.Fatal("restore with no nodes must fail")
-	}
-	if _, err := Restore([]NodeSpec{{Name: "A", Cores: 4, MemBytes: 1 << 20}}, clusterfs.New()); err == nil {
-		t.Fatal("restore without manifest must fail")
 	}
 }
 

@@ -1,8 +1,10 @@
 package mpp
 
 import (
+	"bytes"
 	crand "crypto/rand"
 	"encoding/binary"
+	"encoding/gob"
 	"fmt"
 	"sort"
 	"strings"
@@ -26,7 +28,9 @@ import (
 // state) with per-shard memory and parallelism scaled down, and the
 // in-flight statement is retried against the new membership (Figure 9).
 
-// NetNode describes one shard-server process.
+// NetNode describes one shard-server process: its node name, listen
+// address and hardware. StartServers fills in Addr for in-process
+// servers.
 type NetNode struct {
 	Name     string
 	Addr     string
@@ -39,13 +43,13 @@ type netNode struct {
 	alive bool
 }
 
-// Per-shard memory shares, mirroring deploy.AutoConfigure (deploy
-// imports mpp, so the fractions are restated here): of a shard's RAM
-// slice, 40% buffer pool, 15% sort heap, 15% hash heap.
+// Per-shard memory shares: of a shard's RAM slice, the fractions that
+// go to the buffer pool, the sort heap and the hash heap. deploy's
+// AutoConfigure applies the same fractions to a whole host.
 const (
-	netBufferPoolShare = 0.40
-	netSortHeapShare   = 0.15
-	netHashHeapShare   = 0.15
+	BufferPoolShare = 0.40
+	SortHeapShare   = 0.15
+	HashHeapShare   = 0.15
 )
 
 // NetCluster coordinates shard servers over the wire.
@@ -121,8 +125,12 @@ func NewNetCluster(nodes []NetNode, nShards int, fs *clusterfs.FS) (*NetCluster,
 }
 
 // OpenNetCluster bootstraps a coordinator over an existing clustered
-// filesystem: the manifest fixes shard count and tables (the node
-// topology is free — the paper's portability story).
+// filesystem: the manifest fixes shard count and tables, and the node
+// topology is free. This is §II.E's portability story ("by copying/moving
+// the clustered file system ... deploy ... against an entirely new set
+// of hardware with a different physical cluster topology"): the
+// manifest is rewritten on every DDL and shard servers persist every
+// acknowledged statement, so any copy of the filesystem is complete.
 func OpenNetCluster(nodes []NetNode, fs *clusterfs.FS) (*NetCluster, error) {
 	m, err := readManifest(fs)
 	if err != nil {
@@ -304,9 +312,9 @@ func (c *NetCluster) shardAssignLocked(shard int) shardrpc.ShardAssign {
 	}
 	return shardrpc.ShardAssign{
 		ID:          shard,
-		MemBytes:    int64(float64(slice) * netBufferPoolShare),
-		SortHeap:    int64(float64(slice) * netSortHeapShare),
-		HashHeap:    int64(float64(slice) * netHashHeapShare),
+		MemBytes:    int64(float64(slice) * BufferPoolShare),
+		SortHeap:    int64(float64(slice) * SortHeapShare),
+		HashHeap:    int64(float64(slice) * HashHeapShare),
 		Parallelism: par,
 	}
 }
@@ -387,19 +395,19 @@ func (c *NetCluster) shardAddrs() ([]string, error) {
 func (c *NetCluster) FailNode(name string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	found := false
-	for _, n := range c.nodes {
+	victim := -1
+	for i, n := range c.nodes {
 		if strings.EqualFold(n.spec.Name, name) && n.alive {
-			n.alive = false
-			found = true
+			victim = i
 		}
 	}
-	if !found {
+	if victim < 0 {
 		return fmt.Errorf("mpp: no alive node %s", name)
 	}
-	if len(c.aliveLocked()) == 0 {
+	if len(c.aliveLocked()) == 1 {
 		return fmt.Errorf("mpp: failing %s leaves no alive nodes", name)
 	}
+	c.nodes[victim].alive = false
 	c.stats.Failovers++
 	c.rebalanceLocked()
 	return c.pushAssignmentsLocked("failover", nil)
@@ -530,12 +538,17 @@ func (c *NetCluster) CreateTable(name string, schema types.Schema, opts TableOpt
 func (c *NetCluster) DropTable(name string) error {
 	c.mu.Lock()
 	key := strings.ToLower(name)
-	if _, ok := c.tables[key]; !ok {
+	meta, ok := c.tables[key]
+	if !ok {
 		c.mu.Unlock()
 		return fmt.Errorf("mpp: table %s does not exist", name)
 	}
 	delete(c.tables, key)
-	c.writeManifestLocked() //nolint:errcheck — manifest refresh
+	if err := c.writeManifestLocked(); err != nil {
+		c.tables[key] = meta
+		c.mu.Unlock()
+		return err
+	}
 	c.mu.Unlock()
 	st := &sql.DropStmt{Kind: "TABLE", Name: name}
 	_, err := c.netBroadcast(st, sql.DialectANSI)
@@ -643,4 +656,86 @@ func (c *NetCluster) Rows(table string) (int, error) {
 		total += int(n)
 	}
 	return total, nil
+}
+
+// TableInfo describes one cluster table for introspection and hybrid
+// synchronization.
+type TableInfo struct {
+	Name         string
+	Schema       types.Schema
+	DistributeBy string
+	Replicated   bool
+}
+
+// Tables lists the cluster's tables in name order.
+func (c *NetCluster) Tables() []TableInfo {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	var out []TableInfo
+	for name, meta := range c.tables {
+		ti := TableInfo{Name: name, Schema: meta.schema, Replicated: meta.repl}
+		if meta.distCol >= 0 && meta.distCol < len(meta.schema) {
+			ti.DistributeBy = meta.schema[meta.distCol].Name
+		}
+		out = append(out, ti)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
+	return out
+}
+
+// TableRows gathers every live row of a table to the caller through the
+// gather scan (hybrid sync and diagnostics; replicated tables return one
+// copy).
+func (c *NetCluster) TableRows(name string) ([]types.Row, error) {
+	c.mu.RLock()
+	meta, ok := c.tables[strings.ToLower(name)]
+	c.mu.RUnlock()
+	if !ok {
+		return nil, fmt.Errorf("mpp: table %s does not exist", name)
+	}
+	return (&netGatherSource{c: c, table: name, meta: meta}).ScanAll()
+}
+
+// --- manifest ----------------------------------------------------------------
+
+// manifestPath is the manifest's location on the clustered filesystem.
+const manifestPath = "cluster/manifest"
+
+// manifestTable records one table's identity and placement.
+type manifestTable struct {
+	Name         string
+	ID           uint32 // storage id, identical on every shard
+	Schema       types.Schema
+	DistributeBy string
+	Replicated   bool
+}
+
+// manifest is the cluster's persisted shape.
+type manifest struct {
+	NShards int
+	Tables  []manifestTable
+}
+
+// writeManifest gob-encodes the cluster manifest onto the clustered
+// filesystem.
+func writeManifest(fs *clusterfs.FS, m manifest) error {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
+		return err
+	}
+	fs.WriteFile(manifestPath, buf.Bytes())
+	return nil
+}
+
+// readManifest loads the persisted cluster manifest.
+func readManifest(fs *clusterfs.FS) (manifest, error) {
+	var m manifest
+	data, err := fs.ReadFile(manifestPath)
+	if err != nil {
+		return m, fmt.Errorf("mpp: read manifest: %w", err)
+	}
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&m); err != nil {
+		return m, fmt.Errorf("mpp: manifest: %w", err)
+	}
+	return m, nil
 }

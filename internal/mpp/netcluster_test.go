@@ -11,29 +11,50 @@ import (
 	"dashdb/internal/types"
 )
 
-// startNetCluster boots n in-process shard servers over one clustered
-// filesystem and a coordinator with nShards shards spread across them.
+// startNetCluster boots n in-process shard servers (nodeA, nodeB, ...)
+// over one clustered filesystem and a coordinator with nShards shards
+// spread across them.
 func startNetCluster(t *testing.T, n, nShards int) (*NetCluster, []*shardrpc.Server, *clusterfs.FS) {
 	t.Helper()
-	fs := clusterfs.New()
-	var servers []*shardrpc.Server
-	var nodes []NetNode
+	var names []string
 	for i := 0; i < n; i++ {
-		name := fmt.Sprintf("node%c", 'A'+i)
-		srv := shardrpc.NewServer(name, fs)
-		if err := srv.Start("127.0.0.1:0"); err != nil {
-			t.Fatalf("start %s: %v", name, err)
-		}
-		t.Cleanup(srv.Close)
-		servers = append(servers, srv)
-		nodes = append(nodes, NetNode{Name: name, Addr: srv.Addr(), Cores: 4, MemBytes: 256 << 20})
+		names = append(names, fmt.Sprintf("node%c", 'A'+i))
 	}
-	c, err := NewNetCluster(nodes, nShards, fs)
+	return startNodes(t, nShards, names...)
+}
+
+// startNodes is startNetCluster with explicit node names.
+func startNodes(t *testing.T, nShards int, names ...string) (*NetCluster, []*shardrpc.Server, *clusterfs.FS) {
+	t.Helper()
+	fs := clusterfs.New()
+	c, servers, err := StartLocal(testNodes(names...), nShards, fs)
 	if err != nil {
-		t.Fatalf("NewNetCluster: %v", err)
+		t.Fatalf("StartLocal: %v", err)
 	}
+	t.Cleanup(func() { CloseServers(servers) })
 	t.Cleanup(c.Close)
 	return c, servers, fs
+}
+
+// testNodes specs one 4-core, 256 MB node per name.
+func testNodes(names ...string) []NetNode {
+	var nodes []NetNode
+	for _, name := range names {
+		nodes = append(nodes, NetNode{Name: name, Cores: 4, MemBytes: 256 << 20})
+	}
+	return nodes
+}
+
+// startServers boots in-process servers for names over fs, closed at
+// test end.
+func startServers(t *testing.T, fs *clusterfs.FS, names ...string) ([]NetNode, []*shardrpc.Server) {
+	t.Helper()
+	nodes, servers, err := StartServers(testNodes(names...), fs)
+	if err != nil {
+		t.Fatalf("StartServers: %v", err)
+	}
+	t.Cleanup(func() { CloseServers(servers) })
+	return nodes, servers
 }
 
 func seedNetSales(t *testing.T, c *NetCluster, rows int) {
@@ -428,15 +449,12 @@ func TestNetClusterShuffleJoinFailoverDrops(t *testing.T) {
 // TestNetClusterGrowShrink exercises elastic re-shard: a new node
 // adopts existing shards; removing it hands them back.
 func TestNetClusterGrowShrink(t *testing.T) {
-	c, servers, fs := startNetCluster(t, 2, 4)
+	c, _, fs := startNetCluster(t, 2, 4)
 	seedNetSales(t, c, 200)
 
-	extra := shardrpc.NewServer("nodeC", fs)
-	if err := extra.Start("127.0.0.1:0"); err != nil {
-		t.Fatalf("start extra: %v", err)
-	}
-	defer extra.Close()
-	if err := c.AddNode(NetNode{Name: "nodeC", Addr: extra.Addr(), Cores: 4, MemBytes: 256 << 20}); err != nil {
+	nodes, extras := startServers(t, fs, "nodeC")
+	extra := extras[0]
+	if err := c.AddNode(nodes[0]); err != nil {
 		t.Fatalf("grow: %v", err)
 	}
 	if got := len(extra.Shards()); got == 0 {
@@ -462,7 +480,6 @@ func TestNetClusterGrowShrink(t *testing.T) {
 	if st := c.Stats(); st.Reshards != 2 {
 		t.Fatalf("reshards %d, want 2", st.Reshards)
 	}
-	_ = servers
 }
 
 // TestNetClusterManifestRestore reopens a coordinator over the same
@@ -515,5 +532,186 @@ func TestNetClusterSQLSurface(t *testing.T) {
 	}
 	if _, err := c.Query("SELECT COUNT(*) FROM kv"); err == nil {
 		t.Fatal("query after drop must fail")
+	}
+}
+
+// TestFigure9Failover reproduces the paper's Figure 9: 4 servers × 6
+// shards; server D fails; A, B, C now serve 8 shards each and answer
+// identically; D rejoins on a fresh server and the balance returns.
+func TestFigure9Failover(t *testing.T) {
+	c, servers, fs := startNodes(t, 24, "A", "B", "C", "D")
+	seedNetSales(t, c, 4800)
+	want := queryRow(t, c, `SELECT COUNT(*), SUM(amount) FROM sales`)
+	check := func(stage, assignment string) {
+		t.Helper()
+		if got := c.Assignment(); got != assignment {
+			t.Fatalf("%s assignment %q, want %q", stage, got, assignment)
+		}
+		if got := queryRow(t, c, `SELECT COUNT(*), SUM(amount) FROM sales`); got != want {
+			t.Fatalf("%s: COUNT/SUM %s, want %s", stage, got, want)
+		}
+	}
+	check("initial", "A:6 B:6 C:6 D:6")
+	servers[3].Close()
+	if err := c.FailNode("D"); err != nil {
+		t.Fatal(err)
+	}
+	check("post-failover", "A:8 B:8 C:8")
+	nodes, _ := startServers(t, fs, "D")
+	if err := c.AddNode(nodes[0]); err != nil {
+		t.Fatal(err)
+	}
+	check("post-rejoin", "A:6 B:6 C:6 D:6")
+	if st := c.Stats(); st.Failovers != 1 || st.Reshards != 1 {
+		t.Fatalf("stats %+v, want 1 failover and 1 reshard", st)
+	}
+}
+
+// queryRow runs a one-row query and renders its row.
+func queryRow(t *testing.T, c *NetCluster, sql string) string {
+	t.Helper()
+	res, err := c.Query(sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	return renderRows(res.Rows)
+}
+
+// TestElasticShrinkGuards: membership changes that would leave no node,
+// or name an unknown or duplicate node, fail without changing the
+// cluster.
+func TestElasticShrinkGuards(t *testing.T) {
+	c, _, _ := startNetCluster(t, 1, 2)
+	if err := c.RemoveNode("nodeA"); err == nil || !strings.Contains(err.Error(), "cannot remove the last node") {
+		t.Fatalf("removing the last node: err %v", err)
+	}
+	if err := c.FailNode("nodeA"); err == nil {
+		t.Fatal("failing the last node must fail")
+	}
+	if err := c.FailNode("Z"); err == nil {
+		t.Fatal("failing an unknown node must fail")
+	}
+	if got := c.Assignment(); got != "nodeA:2" {
+		t.Fatalf("a refused change altered the cluster: %q", got)
+	}
+	if _, err := c.Query("CREATE TABLE t (a BIGINT NOT NULL)"); err != nil {
+		t.Fatalf("cluster unusable after refused changes: %v", err)
+	}
+	c2, servers, _ := startNetCluster(t, 2, 4)
+	dup := NetNode{Name: "nodeA", Addr: servers[1].Addr(), Cores: 4, MemBytes: 256 << 20}
+	if err := c2.AddNode(dup); err == nil {
+		t.Fatal("adding a live duplicate node must fail")
+	}
+}
+
+// TestShardsOnNode: a node's server hosts exactly its assigned shards,
+// and after it fails the survivors host them all.
+func TestShardsOnNode(t *testing.T) {
+	c, servers, _ := startNetCluster(t, 4, 24)
+	if n := len(servers[0].Shards()); n != 6 {
+		t.Fatalf("nodeA hosts %d shards, want 6", n)
+	}
+	servers[0].Close()
+	if err := c.FailNode("nodeA"); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(servers[0].Shards()); n != 0 {
+		t.Fatalf("failed node still hosts %d shards", n)
+	}
+	hosted := 0
+	for _, srv := range servers[1:] {
+		hosted += len(srv.Shards())
+	}
+	if hosted != 24 {
+		t.Fatalf("survivors host %d shards, want 24", hosted)
+	}
+}
+
+// TestSnapshotRestoreNewTopology exercises the §II.E portability flow:
+// snapshot a loaded cluster's filesystem and reopen it on an entirely
+// different topology (3 bigger nodes instead of 4). Queries answer
+// identically and the restored cluster accepts writes, DDL and
+// failover. No checkpoint step is needed: every acknowledged statement
+// is already on the filesystem.
+func TestSnapshotRestoreNewTopology(t *testing.T) {
+	src, _, fs := startNodes(t, 24, "A", "B", "C", "D")
+	seedNetSales(t, src, 5000)
+	dim := types.Schema{{Name: "region", Kind: types.KindString}, {Name: "zone", Kind: types.KindString}}
+	if err := src.CreateTable("regions", dim, TableOptions{Replicated: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Insert("regions", []types.Row{
+		{types.NewString("north"), types.NewString("Z1")},
+		{types.NewString("south"), types.NewString("Z2")},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := queryRow(t, src, `SELECT COUNT(*), SUM(amount) FROM sales`)
+	// "Copy the clustered filesystem and docker run on new hardware."
+	snap := fs.Snapshot()
+	nodes, servers := startServers(t, snap, "X", "Y", "Z")
+	for i := range nodes {
+		nodes[i].Cores, nodes[i].MemBytes = 16, 512<<20
+	}
+	restored, err := OpenNetCluster(nodes, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	if got := restored.Assignment(); got != "X:8 Y:8 Z:8" {
+		t.Fatalf("restored assignment %q", got)
+	}
+	if got := queryRow(t, restored, `SELECT COUNT(*), SUM(amount) FROM sales`); got != want {
+		t.Fatalf("restore changed results: %s vs %s", got, want)
+	}
+	// north + south halves join the replicated dimension.
+	if got := queryRow(t, restored, `SELECT COUNT(*) FROM sales s JOIN regions r ON s.region = r.region`); got != "2500\n" {
+		t.Fatalf("restored join %q", got)
+	}
+	if _, err := restored.Query(`INSERT INTO sales VALUES (99999, 'north', 1)`); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := restored.Query(`CREATE TABLE fresh (a BIGINT NOT NULL)`); err != nil {
+		t.Fatal(err)
+	}
+	servers[2].Close()
+	if err := restored.FailNode("Z"); err != nil {
+		t.Fatal(err)
+	}
+	if got := queryRow(t, restored, `SELECT COUNT(*) FROM sales`); got != "5001\n" {
+		t.Fatalf("post-restore failover count %q", got)
+	}
+	if _, err := OpenNetCluster(nil, snap); err == nil {
+		t.Fatal("restore with no nodes must fail")
+	}
+	if _, err := OpenNetCluster(nodes[:1], clusterfs.New()); err == nil {
+		t.Fatal("restore without manifest must fail")
+	}
+}
+
+// TestAdoptRejectsCorruptMeta: only a missing metadata page means "fresh
+// shard slice". A corrupt one must fail the adopt, not silently replace
+// the shard's rows with an empty table.
+func TestAdoptRejectsCorruptMeta(t *testing.T) {
+	c, servers, fs := startNetCluster(t, 2, 4)
+	seedNetSales(t, c, 400)
+	victim := servers[1].Shards()[0]
+	servers[1].Close() // persists its shards on the way down
+	var metaPage string
+	for _, p := range fs.List(fmt.Sprintf("shards/%04d/", victim)) {
+		if strings.HasSuffix(p, "/C65535/S00000000") {
+			metaPage = p
+		}
+	}
+	if metaPage == "" {
+		t.Fatalf("shard %d has no metadata page", victim)
+	}
+	fs.WriteFile(metaPage, []byte("not a gob stream"))
+	if err := c.FailNode("nodeB"); err == nil {
+		t.Fatal("adopting a shard with corrupt metadata must fail")
+	}
+	res, err := c.Query("SELECT COUNT(*) FROM sales")
+	if err == nil && res.Rows[0][0].Int() != 400 {
+		t.Fatalf("COUNT(*) = %v after a failed adopt: rows silently dropped", res.Rows[0][0])
 	}
 }

@@ -2,7 +2,9 @@ package shardrpc
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
+	iofs "io/fs"
 	"net"
 	"sort"
 	"sync"
@@ -182,9 +184,14 @@ func (s *Server) ensureTablesLocked(slot *engineSlot, tables []TableSpec) error 
 		}
 		cfg := columnar.Config{Pool: slot.db.Pool(), Store: s.fs.ShardStore(slot.assign.ID)}
 		tbl, err := columnar.OpenTable(t.ID, t.Schema, cfg)
-		if err != nil {
+		switch {
+		case errors.Is(err, iofs.ErrNotExist):
 			// No persisted meta yet: a freshly created shard slice.
 			tbl = columnar.NewTable(t.ID, t.Name, t.Schema, cfg)
+		case err != nil:
+			// Corrupt or mismatched meta: an empty table here would
+			// silently drop the shard's rows.
+			return fmt.Errorf("shardrpc: adopt shard %d table %s: %w", slot.assign.ID, t.Name, err)
 		}
 		if err := slot.db.Catalog().CreateTable(tbl, false); err != nil {
 			return fmt.Errorf("shardrpc: adopt shard %d table %s: %w", slot.assign.ID, t.Name, err)

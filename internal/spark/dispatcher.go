@@ -5,7 +5,7 @@ import (
 	"sync"
 	"time"
 
-	"dashdb/internal/mpp"
+	"dashdb/internal/core"
 )
 
 // JobState tracks a submitted application's lifecycle.
@@ -52,8 +52,6 @@ type App func(ctx *Context) (interface{}, error)
 // It creates one ClusterManager per user so users are isolated from each
 // other, and dispatches submitted applications onto that user's managers.
 type Dispatcher struct {
-	cluster *mpp.Cluster
-
 	mu       sync.Mutex
 	managers map[string]*ClusterManager
 	apps     map[string]App
@@ -62,25 +60,47 @@ type Dispatcher struct {
 	servers  []*DataServer // one per shard, shared by all users
 }
 
-// NewDispatcher starts the integrated analytics runtime over the MPP
-// cluster: one data server per shard (collocated access) and an empty
-// manager map.
-func NewDispatcher(cluster *mpp.Cluster) (*Dispatcher, error) {
+// NewDispatcher starts the integrated analytics runtime over the
+// cluster's shard engines (in shard order): one data server per shard
+// (collocated access) and an empty manager map.
+func NewDispatcher(shards []*core.DB) (*Dispatcher, error) {
 	d := &Dispatcher{
-		cluster:  cluster,
 		managers: make(map[string]*ClusterManager),
 		apps:     make(map[string]App),
 		jobs:     make(map[int64]*Job),
 	}
-	for _, sh := range cluster.Shards() {
-		srv, err := NewDataServer(sh.DB)
-		if err != nil {
-			d.Close()
-			return nil, err
-		}
-		d.servers = append(d.servers, srv)
+	if err := d.Rebind(shards); err != nil {
+		return nil, err
 	}
 	return d, nil
+}
+
+// Rebind moves the runtime onto a new set of shard engines, as after a
+// cluster membership change reopened them: fresh data servers replace
+// the old ones and each user's manager is rebuilt on next use.
+// Registered applications and job history are kept; a job still running
+// against the old data servers may fail.
+func (d *Dispatcher) Rebind(shards []*core.DB) error {
+	var servers []*DataServer
+	for _, db := range shards {
+		srv, err := NewDataServer(db)
+		if err != nil {
+			for _, s := range servers {
+				s.Close()
+			}
+			return err
+		}
+		servers = append(servers, srv)
+	}
+	d.mu.Lock()
+	old := d.servers
+	d.servers = servers
+	d.managers = make(map[string]*ClusterManager)
+	d.mu.Unlock()
+	for _, s := range old {
+		s.Close()
+	}
+	return nil
 }
 
 // Close stops every data server.
@@ -284,11 +304,8 @@ type ClusterManager struct {
 
 func newClusterManager(user string, d *Dispatcher) *ClusterManager {
 	cm := &ClusterManager{user: user, d: d}
-	for i, sh := range d.cluster.Shards() {
-		cm.workers = append(cm.workers, &Worker{
-			Shard:    sh.ID,
-			DataAddr: d.servers[i].Addr(),
-		})
+	for i, srv := range d.servers {
+		cm.workers = append(cm.workers, &Worker{Shard: i, DataAddr: srv.Addr()})
 	}
 	return cm
 }

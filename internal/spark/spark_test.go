@@ -5,55 +5,52 @@ import (
 	"testing"
 	"time"
 
-	"dashdb/internal/mpp"
+	"dashdb/internal/core"
 	"dashdb/internal/types"
 )
 
-func testCluster(t testing.TB, rows int) *mpp.Cluster {
+// testShards hash-partitions rows of a "points" table over four shard
+// engines, as the MPP layer would.
+func testShards(t testing.TB, rows int) []*core.DB {
 	t.Helper()
-	c, err := mpp.NewCluster([]mpp.NodeSpec{
-		{Name: "A", Cores: 4, MemBytes: 32 << 20},
-		{Name: "B", Cores: 4, MemBytes: 32 << 20},
-	}, 2, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	schema := types.Schema{
 		{Name: "id", Kind: types.KindInt},
 		{Name: "x1", Kind: types.KindFloat, Nullable: true},
 		{Name: "x2", Kind: types.KindFloat, Nullable: true},
 		{Name: "label", Kind: types.KindFloat, Nullable: true},
 	}
-	if err := c.CreateTable("points", schema, mpp.TableOptions{DistributeBy: "id"}); err != nil {
-		t.Fatal(err)
-	}
-	var batch []types.Row
+	buckets := make([][]types.Row, 4)
 	for i := 0; i < rows; i++ {
 		x1 := float64(i%100) / 10
 		x2 := float64((i*7)%100) / 10
 		label := 3*x1 - 2*x2 + 5 // exact linear relationship
-		batch = append(batch, types.Row{
-			types.NewInt(int64(i)),
-			types.NewFloat(x1),
-			types.NewFloat(x2),
-			types.NewFloat(label),
-		})
+		row := types.Row{types.NewInt(int64(i)), types.NewFloat(x1), types.NewFloat(x2), types.NewFloat(label)}
+		s := row[0].Hash() % uint64(len(buckets))
+		buckets[s] = append(buckets[s], row)
 	}
-	if err := c.Insert("points", batch); err != nil {
-		t.Fatal(err)
+	shards := make([]*core.DB, len(buckets))
+	for s := range shards {
+		shards[s] = core.Open(core.Config{BufferPoolBytes: 8 << 20, Parallelism: 2})
+		tbl, err := shards[s].CreateTable("points", schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tbl.InsertBatch(buckets[s]); err != nil {
+			t.Fatal(err)
+		}
 	}
-	return c
+	return shards
 }
 
-func newDispatcher(t testing.TB, rows int) (*mpp.Cluster, *Dispatcher) {
+func newDispatcher(t testing.TB, rows int) ([]*core.DB, *Dispatcher) {
 	t.Helper()
-	c := testCluster(t, rows)
-	d, err := NewDispatcher(c)
+	shards := testShards(t, rows)
+	d, err := NewDispatcher(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(d.Close)
-	return c, d
+	return shards, d
 }
 
 func TestDatasetTableLoad(t *testing.T) {
@@ -87,8 +84,8 @@ func TestDatasetPartitionsMatchShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.(int) != len(c.Shards()) {
-		t.Fatalf("partitions %v, shards %d", res, len(c.Shards()))
+	if res.(int) != len(c) {
+		t.Fatalf("partitions %v, shards %d", res, len(c))
 	}
 }
 
@@ -325,7 +322,7 @@ func TestRegisteredAppAndSQLProcedures(t *testing.T) {
 		return ds.Count(), nil
 	})
 	// SQL interface on shard 0's engine.
-	db := c.Shards()[0].DB
+	db := c[0]
 	RegisterProcedures(db, d)
 	sess := db.NewSession()
 	sess.SetUser("carol")
