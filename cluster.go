@@ -84,15 +84,8 @@ func Deploy(hosts []HostSpec) (*Cluster, error) {
 // in-process shard servers: len(nodes) × shardsPerNode shards, capped at
 // the nodes' total cores.
 func NewCluster(nodes []NodeSpec, shardsPerNode int) (*Cluster, error) {
-	nShards, totalCores := len(nodes)*max(1, shardsPerNode), 0
-	for _, n := range nodes {
-		totalCores += n.Cores
-	}
-	if totalCores > 0 {
-		nShards = min(nShards, totalCores)
-	}
 	fs := clusterfs.New()
-	inner, servers, err := mpp.StartLocal(nodes, nShards, fs)
+	inner, servers, err := mpp.StartLocal(nodes, mpp.ShardCount(nodes, shardsPerNode), fs)
 	if err != nil {
 		return nil, err
 	}
@@ -169,9 +162,10 @@ func (c *Cluster) FailNode(name string) error {
 	// Stop the server before survivors adopt its shards: a server
 	// persists what it hosts on Close, which must not overwrite state
 	// the adopters have moved on from. A statement that reaches the
-	// stopped server in between fails the node over itself.
+	// stopped server in between fails the node over itself, which is
+	// the one failure (ErrNoAliveNode) that is not an error here.
 	c.stopServerLocked(name)
-	if err := c.inner.FailNode(name); err != nil && c.alive(name) {
+	if err := c.inner.FailNode(name); err != nil && !errors.Is(err, mpp.ErrNoAliveNode) {
 		return err
 	}
 	return c.rebindLocked()
@@ -206,6 +200,11 @@ func (c *Cluster) RemoveNode(name string) error {
 func (c *Cluster) AddNode(spec NodeSpec) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if spec.Addr != "" && c.dispatcher != nil {
+		// Spark workers read shard engines in-process, so every node of
+		// a cluster running Spark must be an in-process one.
+		return fmt.Errorf("dashdb: cannot add remote node %s while Spark runs", spec.Name)
+	}
 	var started []*shardrpc.Server
 	if spec.Addr == "" {
 		nodes, servers, err := mpp.StartServers([]NodeSpec{spec}, c.fs)
@@ -254,7 +253,7 @@ func (c *Cluster) Internal() *mpp.NetCluster { return c.inner }
 // the dispatcher with per-user cluster managers and shard-collocated
 // workers of §II.D. It needs every shard hosted in-process (Deploy,
 // NewCluster or Restore); the same dispatcher follows later membership
-// changes.
+// changes, and AddNode refuses remote nodes while it runs.
 func (c *Cluster) Spark() (*spark.Dispatcher, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

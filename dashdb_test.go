@@ -1,6 +1,8 @@
 package dashdb_test
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -235,6 +237,21 @@ func TestClusterSpark(t *testing.T) {
 	if res.(int) != 500 {
 		t.Fatalf("Spark count after failover %v, want 500", res)
 	}
+
+	// Spark workers need every shard in-process, so a remote node is
+	// refused before membership changes.
+	remote, servers, err := mpp.StartServers([]dashdb.NodeSpec{{Name: "R", Cores: 2, MemBytes: 16 << 20}}, clusterfs.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mpp.CloseServers(servers)
+	before := cl.Assignment()
+	if err := cl.AddNode(remote[0]); err == nil {
+		t.Fatal("AddNode of a remote node while Spark runs must fail")
+	}
+	if got := cl.Assignment(); got != before {
+		t.Fatalf("refused AddNode changed the assignment: %q -> %q", before, got)
+	}
 }
 
 func TestExtensionsSurface(t *testing.T) {
@@ -306,34 +323,68 @@ func TestPublicSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestConnectClusterRejectsCorruptManifest: only an absent manifest means
-// "bootstrap a fresh cluster"; an unreadable one must not be silently
-// replaced by an empty cluster.
-func TestConnectClusterRejectsCorruptManifest(t *testing.T) {
+// TestCorruptClusterStateIsReported: state on the clustered filesystem
+// that cannot be read is reported, never silently replaced by empty
+// state. Only an absent manifest means "bootstrap a fresh cluster", and
+// a survivor that cannot adopt a failed node's shard makes FailNode
+// fail. The shard servers are owned by the test (as remote ones would
+// be) so node B can die before its metadata page is corrupted; an
+// in-process victim would rewrite the page when FailNode stops it.
+func TestCorruptClusterStateIsReported(t *testing.T) {
 	fs := clusterfs.New()
-	nodes, servers, err := mpp.StartServers([]dashdb.NodeSpec{{Name: "A", Cores: 2, MemBytes: 16 << 20}}, fs)
+	nodes, servers, err := mpp.StartServers([]dashdb.NodeSpec{
+		{Name: "A", Cores: 2, MemBytes: 16 << 20},
+		{Name: "B", Cores: 2, MemBytes: 16 << 20},
+	}, fs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer mpp.CloseServers(servers)
-	fresh, err := dashdb.ConnectCluster(nodes, 2, fs)
+	fresh, err := dashdb.ConnectCluster(nodes, 4, fs)
 	if err != nil {
 		t.Fatalf("bootstrap over an empty filesystem: %v", err)
 	}
 	if _, err := fresh.Exec(`CREATE TABLE t (a BIGINT NOT NULL)`); err != nil {
 		t.Fatal(err)
 	}
+	var rows []dashdb.Row
+	for i := 0; i < 400; i++ {
+		rows = append(rows, dashdb.Row{dashdb.NewInt(int64(i))})
+	}
+	if err := fresh.Insert("t", rows); err != nil {
+		t.Fatal(err)
+	}
 	fresh.Close()
-	reopened, err := dashdb.ConnectCluster(nodes, 2, fs)
+	cl, err := dashdb.ConnectCluster(nodes, 4, fs)
 	if err != nil {
 		t.Fatalf("reconnect: %v", err)
 	}
-	if n, err := reopened.Rows("t"); err != nil || n != 0 {
-		t.Fatalf("reconnected cluster lost table t: rows %d err %v", n, err)
+	defer cl.Close()
+	if n, err := cl.Rows("t"); err != nil || n != 400 {
+		t.Fatalf("reconnected cluster lost rows of t: rows %d err %v", n, err)
 	}
-	reopened.Close()
+
+	victim := servers[1].Shards()[0]
+	servers[1].Close() // node B dies, persisting its shards
+	var metaPage string
+	for _, p := range fs.List(fmt.Sprintf("shards/%04d/", victim)) {
+		if strings.HasSuffix(p, "/C65535/S00000000") {
+			metaPage = p
+		}
+	}
+	if metaPage == "" {
+		t.Fatalf("shard %d has no metadata page", victim)
+	}
+	fs.WriteFile(metaPage, []byte("not a gob stream"))
+	if err := cl.FailNode("B"); err == nil {
+		t.Fatal("FailNode must report a shard whose metadata cannot be adopted")
+	}
+	if r, err := cl.Exec(`SELECT COUNT(*) FROM t`); err == nil && r.Rows[0][0].Int() != 400 {
+		t.Fatalf("COUNT(*) = %v after a failed adopt: rows silently dropped", r.Rows[0][0])
+	}
+
 	fs.WriteFile("cluster/manifest", []byte("garbage"))
-	if c, err := dashdb.ConnectCluster(nodes, 2, fs); err == nil {
+	if c, err := dashdb.ConnectCluster(nodes, 4, fs); err == nil {
 		c.Close()
 		t.Fatal("ConnectCluster over a corrupt manifest must fail")
 	}

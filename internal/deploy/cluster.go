@@ -53,7 +53,7 @@ func DeployCluster(reg *Registry, hosts []*Host, imageName, version string, fs *
 	slowest.Phases = append(slowest.Phases, Phase{Name: "cluster formation", Duration: formation})
 
 	var nodes []mpp.NetNode
-	shardsPerNode, totalCores := 1, 0
+	shardsPerNode := 1
 	for _, c := range containers {
 		nodes = append(nodes, mpp.NetNode{
 			Name:     c.Host.Name,
@@ -61,13 +61,8 @@ func DeployCluster(reg *Registry, hosts []*Host, imageName, version string, fs *
 			MemBytes: c.Host.HW.RAMBytes,
 		})
 		shardsPerNode = max(shardsPerNode, c.Config.ShardsPerNode)
-		totalCores += c.Host.HW.Cores
 	}
-	nShards := len(nodes) * shardsPerNode
-	if totalCores > 0 {
-		nShards = min(nShards, totalCores)
-	}
-	cluster, servers, err := mpp.StartLocal(nodes, nShards, fs)
+	cluster, servers, err := mpp.StartLocal(nodes, mpp.ShardCount(nodes, shardsPerNode), fs)
 	if err != nil {
 		return nil, err
 	}

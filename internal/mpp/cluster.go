@@ -91,17 +91,11 @@ func NewCluster(nodes []NodeSpec, shardsPerNode int, fs *clusterfs.FS) (*Cluster
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("mpp: cluster needs at least one node")
 	}
-	if shardsPerNode < 1 {
-		shardsPerNode = 1
-	}
 	totalCores := 0
 	for _, n := range nodes {
 		totalCores += n.Cores
 	}
-	nShards := len(nodes) * shardsPerNode
-	if nShards > totalCores && totalCores > 0 {
-		nShards = totalCores
-	}
+	nShards := shardCount(len(nodes), shardsPerNode, totalCores)
 	if fs == nil {
 		fs = clusterfs.New()
 	}

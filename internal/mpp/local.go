@@ -42,6 +42,27 @@ func StartLocal(nodes []NetNode, nShards int, fs *clusterfs.FS) (*NetCluster, []
 	return c, servers, nil
 }
 
+// ShardCount is the shard count for a cluster over nodes with
+// shardsPerNode shards per server, capped at the nodes' total cores (the
+// paper: "several factors larger than the number of servers, though not
+// larger than the cumulative cores").
+func ShardCount(nodes []NetNode, shardsPerNode int) int {
+	totalCores := 0
+	for _, n := range nodes {
+		totalCores += n.Cores
+	}
+	return shardCount(len(nodes), shardsPerNode, totalCores)
+}
+
+// shardCount applies the ShardCount rule to a node count and core total.
+func shardCount(nNodes, shardsPerNode, totalCores int) int {
+	n := nNodes * max(1, shardsPerNode)
+	if totalCores > 0 {
+		n = min(n, totalCores)
+	}
+	return n
+}
+
 // CloseServers closes every server in the list.
 func CloseServers(servers []*shardrpc.Server) {
 	for _, srv := range servers {

@@ -5,6 +5,7 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -388,6 +389,11 @@ func (c *NetCluster) shardAddrs() ([]string, error) {
 
 // --- HA and elasticity -------------------------------------------------------
 
+// ErrNoAliveNode reports that FailNode or RemoveNode named a node the
+// coordinator does not count as alive — unknown, removed, or already
+// failed over (possibly by a statement that found it dead).
+var ErrNoAliveNode = errors.New("mpp: no alive node")
+
 // FailNode marks a node dead and re-associates its shards across the
 // survivors, which adopt them from clusterfs-persisted state with
 // reduced per-shard budgets. The node's server process need not be
@@ -402,7 +408,7 @@ func (c *NetCluster) FailNode(name string) error {
 		}
 	}
 	if victim < 0 {
-		return fmt.Errorf("mpp: no alive node %s", name)
+		return fmt.Errorf("%w %s", ErrNoAliveNode, name)
 	}
 	if len(c.aliveLocked()) == 1 {
 		return fmt.Errorf("mpp: failing %s leaves no alive nodes", name)
@@ -448,7 +454,7 @@ func (c *NetCluster) RemoveNode(name string) error {
 		}
 	}
 	if idx < 0 {
-		return fmt.Errorf("mpp: no alive node %s", name)
+		return fmt.Errorf("%w %s", ErrNoAliveNode, name)
 	}
 	if len(c.aliveLocked()) == 1 {
 		return fmt.Errorf("mpp: cannot remove the last node")

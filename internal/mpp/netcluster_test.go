@@ -688,30 +688,3 @@ func TestSnapshotRestoreNewTopology(t *testing.T) {
 		t.Fatal("restore without manifest must fail")
 	}
 }
-
-// TestAdoptRejectsCorruptMeta: only a missing metadata page means "fresh
-// shard slice". A corrupt one must fail the adopt, not silently replace
-// the shard's rows with an empty table.
-func TestAdoptRejectsCorruptMeta(t *testing.T) {
-	c, servers, fs := startNetCluster(t, 2, 4)
-	seedNetSales(t, c, 400)
-	victim := servers[1].Shards()[0]
-	servers[1].Close() // persists its shards on the way down
-	var metaPage string
-	for _, p := range fs.List(fmt.Sprintf("shards/%04d/", victim)) {
-		if strings.HasSuffix(p, "/C65535/S00000000") {
-			metaPage = p
-		}
-	}
-	if metaPage == "" {
-		t.Fatalf("shard %d has no metadata page", victim)
-	}
-	fs.WriteFile(metaPage, []byte("not a gob stream"))
-	if err := c.FailNode("nodeB"); err == nil {
-		t.Fatal("adopting a shard with corrupt metadata must fail")
-	}
-	res, err := c.Query("SELECT COUNT(*) FROM sales")
-	if err == nil && res.Rows[0][0].Int() != 400 {
-		t.Fatalf("COUNT(*) = %v after a failed adopt: rows silently dropped", res.Rows[0][0])
-	}
-}
