@@ -48,18 +48,20 @@ func New() *FS {
 	return &FS{files: make(map[string][]byte)}
 }
 
-// WriteFile stores data under path (full replace, like O_TRUNC).
-func (fs *FS) WriteFile(path string, data []byte) {
+// WriteFile stores data under path (full replace, like O_TRUNC). On the
+// dir backend the file and its directory are synced before it returns,
+// so a nil error means the write is durable.
+func (fs *FS) WriteFile(path string, data []byte) error {
 	fs.writes.Add(1)
 	fs.bytesWritten.Add(uint64(len(data)))
 	if fs.dir != "" {
-		fs.dirWrite(path, data)
-		return
+		return fs.dirWrite(path, data)
 	}
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	cp := append([]byte(nil), data...)
 	fs.files[path] = cp
+	return nil
 }
 
 // ReadFile returns the file's contents. A missing file's error wraps
@@ -195,8 +197,7 @@ func (s *shardStore) pagePath(id page.ID) string {
 }
 
 func (s *shardStore) WritePage(id page.ID, data []byte) error {
-	s.fs.WriteFile(s.pagePath(id), data)
-	return nil
+	return s.fs.WriteFile(s.pagePath(id), data)
 }
 
 func (s *shardStore) ReadPage(id page.ID) ([]byte, error) {

@@ -54,23 +54,57 @@ func (fs *FS) hostPath(path string) (string, error) {
 	return filepath.Join(fs.dir, clean), nil
 }
 
-func (fs *FS) dirWrite(path string, data []byte) {
+func (fs *FS) dirWrite(path string, data []byte) error {
 	hp, err := fs.hostPath(path)
 	if err != nil {
-		return
+		return err
 	}
-	if err := os.MkdirAll(filepath.Dir(hp), 0o755); err != nil {
-		return
+	dir := filepath.Dir(hp)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return fmt.Errorf("clusterfs: %s: %w", path, err)
 	}
-	// Write-then-rename so concurrent readers never observe a torn file
-	// (several server processes share the directory).
-	tmp := hp + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return
+	// Write a uniquely named temp file, sync it, then rename it over the
+	// target and sync the directory: concurrent readers never observe a
+	// torn file, writers in other processes sharing the directory never
+	// share a temp file, and the rename survives a crash once we return.
+	tmp, err := os.CreateTemp(dir, filepath.Base(hp)+".*.tmp")
+	if err != nil {
+		return fmt.Errorf("clusterfs: %s: %w", path, err)
 	}
-	if err := os.Rename(tmp, hp); err != nil {
-		os.Remove(tmp)
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Chmod(0o644) // CreateTemp makes 0600; other node processes read it
 	}
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), hp)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return fmt.Errorf("clusterfs: %s: %w", path, err)
+	}
+	if err := syncDir(dir); err != nil {
+		return fmt.Errorf("clusterfs: %s: %w", path, err)
+	}
+	return nil
+}
+
+// syncDir fsyncs a directory so a rename inside it is durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 func (fs *FS) dirRead(path string) ([]byte, error) {

@@ -1,7 +1,10 @@
 package columnar
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
+	"math"
 	"testing"
 
 	"dashdb/internal/encoding"
@@ -184,5 +187,117 @@ func TestSaveAndOpenTable(t *testing.T) {
 	}
 	if _, err := OpenTable(60, salesSchema()[:2], Config{Store: store}); err == nil {
 		t.Fatal("schema arity mismatch must fail")
+	}
+
+	// The open stride holds every kind, typed NULLs and float edge
+	// values; they must come back bit for bit.
+	allKinds := types.Schema{
+		{Name: "b", Kind: types.KindBool, Nullable: true},
+		{Name: "i", Kind: types.KindInt, Nullable: true},
+		{Name: "f", Kind: types.KindFloat, Nullable: true},
+		{Name: "s", Kind: types.KindString, Nullable: true},
+		{Name: "d", Kind: types.KindDate, Nullable: true},
+		{Name: "ts", Kind: types.KindTimestamp, Nullable: true},
+	}
+	var nulls types.Row
+	for _, c := range allKinds {
+		nulls = append(nulls, types.NullOf(c.Kind))
+	}
+	kinds := NewTable(62, "kinds", allKinds, Config{Store: store})
+	for _, r := range []types.Row{
+		{types.NewBool(true), types.NewInt(math.MinInt64), types.NewFloat(math.NaN()), types.NewString(""), types.NewDate(-1), types.NewTimestamp(math.MaxInt64)},
+		nulls,
+		{types.NewBool(false), types.NewInt(math.MaxInt64), types.NewFloat(math.Copysign(0, -1)), types.NewString("日本語"), types.NewDate(19000), types.NewTimestamp(0)},
+		{types.NewBool(true), types.NewInt(0), types.NewFloat(math.Float64frombits(0x7ff8dead0000beef)), types.NewString("x"), types.NewDate(0), types.NewTimestamp(-1)},
+		{types.NewBool(false), types.NewInt(-1), types.NewFloat(math.Inf(-1)), types.NewString("x"), types.NewDate(1), types.NewTimestamp(1)},
+	} {
+		if err := kinds.Insert(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := kinds.SaveMeta(); err != nil {
+		t.Fatal(err)
+	}
+	back, err := OpenTable(62, allKinds, Config{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := kinds.SelectWhere(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := back.SelectWhere(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) || len(want) != 5 {
+		t.Fatalf("reopened %d open-stride rows, want %d (of 5)", len(got), len(want))
+	}
+	for i := range want {
+		for c := range want[i] {
+			w, g := want[i][c], got[i][c]
+			same := g.Kind() == w.Kind() && g.IsNull() == w.IsNull()
+			if same && !w.IsNull() {
+				if w.Kind() == types.KindFloat {
+					same = math.Float64bits(g.Float()) == math.Float64bits(w.Float())
+				} else {
+					same = types.Compare(g, w) == 0
+				}
+			}
+			if !same {
+				t.Fatalf("row %d col %s: reopened %v (%v), want %v (%v)", i, allKinds[c].Name, g, g.Kind(), w, w.Kind())
+			}
+		}
+	}
+	if !math.IsNaN(got[0][2].Float()) || !got[1][5].IsNull() || got[1][5].Kind() != types.KindTimestamp {
+		t.Fatalf("NaN or typed NULL lost: %v", got[:2])
+	}
+}
+
+// TestOpenTableRejectsOldOpenStride: table metadata from before the open
+// stride was packed in the shared value layout (one gob struct per
+// cell) must fail to open, not read as an empty open stride.
+func TestOpenTableRejectsOldOpenStride(t *testing.T) {
+	store := NewMemStore()
+	orig := NewTable(63, "sales", salesSchema(), Config{Store: store})
+	loadSales(t, orig, 10)
+	if err := orig.SaveMeta(); err != nil {
+		t.Fatal(err)
+	}
+	data, err := store.ReadPage(metaID(63))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var blob tableMetaBlob
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&blob); err != nil {
+		t.Fatal(err)
+	}
+	type cell struct {
+		K    uint8
+		Null bool
+		I    int64
+		F    float64
+		S    string
+	}
+	old := struct {
+		Name                 string
+		Rows, Live, RawBytes int
+		GenSeq               uint32
+		Deleted              []int
+		Cols                 []colMeta
+		OpenRows             [][]cell
+	}{blob.Name, blob.Rows, blob.Live, blob.RawBytes, blob.GenSeq, blob.Deleted, blob.Cols, make([][]cell, 10)}
+	for i := range old.OpenRows {
+		old.OpenRows[i] = []cell{{K: uint8(types.KindInt), I: int64(i)}, {K: uint8(types.KindString), S: "north"}, {K: uint8(types.KindDate)}, {K: uint8(types.KindFloat), F: 1}}
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.WritePage(metaID(63), buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if tbl, err := OpenTable(63, salesSchema(), Config{Store: store}); err == nil {
+		t.Fatalf("old-format metadata opened with %d rows", tbl.Rows())
 	}
 }

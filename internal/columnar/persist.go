@@ -42,68 +42,7 @@ type tableMetaBlob struct {
 	GenSeq   uint32 // page-generation allocator position
 	Deleted  []int  // set tombstone positions
 	Cols     []colMeta
-	OpenRows [][]encodingWire // open-stride rows, row-major
-}
-
-// encodingWire mirrors the encoder wire value (kept local to avoid
-// exporting encoding internals).
-type encodingWire struct {
-	K    uint8
-	Null bool
-	I    int64
-	F    float64
-	S    string
-}
-
-func rowToWire(r types.Row) []encodingWire {
-	out := make([]encodingWire, len(r))
-	for i, v := range r {
-		w := encodingWire{K: uint8(v.Kind()), Null: v.IsNull()}
-		if !w.Null {
-			switch v.Kind() {
-			case types.KindBool:
-				if v.Bool() {
-					w.I = 1
-				}
-			case types.KindInt, types.KindDate, types.KindTimestamp:
-				w.I = v.Int()
-			case types.KindFloat:
-				w.F = v.Float()
-			case types.KindString:
-				w.S = v.Str()
-			}
-		}
-		out[i] = w
-	}
-	return out
-}
-
-func wireToRow(ws []encodingWire) types.Row {
-	r := make(types.Row, len(ws))
-	for i, w := range ws {
-		k := types.Kind(w.K)
-		if w.Null {
-			r[i] = types.NullOf(k)
-			continue
-		}
-		switch k {
-		case types.KindBool:
-			r[i] = types.NewBool(w.I != 0)
-		case types.KindInt:
-			r[i] = types.NewInt(w.I)
-		case types.KindDate:
-			r[i] = types.NewDate(w.I)
-		case types.KindTimestamp:
-			r[i] = types.NewTimestamp(w.I)
-		case types.KindFloat:
-			r[i] = types.NewFloat(w.F)
-		case types.KindString:
-			r[i] = types.NewString(w.S)
-		default:
-			r[i] = types.Null
-		}
-	}
-	return r
+	OpenRows []byte // open-stride rows, row-major, packed by types.AppendRow
 }
 
 // SaveMeta persists the table's non-page state into the page store.
@@ -132,12 +71,12 @@ func (t *Table) SaveMeta() error {
 	}
 	// Open-stride rows, reconstructed row-major from the column buffers.
 	open := t.openLen()
+	row := make(types.Row, len(t.cols))
 	for i := 0; i < open; i++ {
-		row := make(types.Row, len(t.cols))
 		for ci, c := range t.cols {
 			row[ci] = c.openVals[i]
 		}
-		blob.OpenRows = append(blob.OpenRows, rowToWire(row))
+		blob.OpenRows = types.AppendRow(blob.OpenRows, row)
 	}
 	var buf bytes.Buffer
 	if err := gob.NewEncoder(&buf).Encode(blob); err != nil {
@@ -165,8 +104,20 @@ func OpenTable(id uint32, schema types.Schema, cfg Config) (*Table, error) {
 	if len(blob.Cols) != len(schema) {
 		return nil, fmt.Errorf("columnar: open table %d: schema has %d columns, meta has %d", id, len(schema), len(blob.Cols))
 	}
+	var openRows []types.Row
+	for b := blob.OpenRows; len(b) > 0; {
+		row, n, err := types.DecodeRow(b)
+		if err == nil && len(row) != len(schema) {
+			err = fmt.Errorf("row has %d columns, schema %d", len(row), len(schema))
+		}
+		if err != nil {
+			return nil, fmt.Errorf("columnar: open table %d: open stride: %w", id, err)
+		}
+		openRows = append(openRows, row)
+		b = b[n:]
+	}
 	t := NewTable(id, blob.Name, schema, cfg)
-	sealedRows := blob.Rows - len(blob.OpenRows)
+	sealedRows := blob.Rows - len(openRows)
 	t.rows = sealedRows
 	t.live = sealedRows // adjusted below by tombstones and open rows
 	t.rawBytes = blob.RawBytes
@@ -186,11 +137,10 @@ func OpenTable(id uint32, schema types.Schema, cfg Config) (*Table, error) {
 	t.growDeletedLocked()
 	// Re-append the open stride through the normal insert path (codes are
 	// stable because the encoders' domains were restored).
-	for _, wr := range blob.OpenRows {
-		if err := t.insertLocked(wireToRow(wr)); err != nil {
+	for _, row := range openRows {
+		if err := t.insertLocked(row); err != nil {
 			return nil, fmt.Errorf("columnar: open table %d: replay open stride: %w", id, err)
 		}
-		t.rawBytes -= encoding.EstimateRawBytes(wireToRow(wr)) // insertLocked re-added it
 	}
 	t.rawBytes = blob.RawBytes
 	// Tombstones last (insertLocked grew the bitmap).

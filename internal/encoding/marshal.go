@@ -11,60 +11,9 @@ import (
 // Encoder persistence: dictionaries and frames of reference serialize so
 // a column-organized table can be closed and reopened from the clustered
 // filesystem (the §II.E portability/DR story). The format is gob over a
-// small DTO; codes are stable across a round trip, so existing pages stay
-// valid.
-
-// wireVal is the serializable form of types.Value.
-type wireVal struct {
-	K    uint8
-	Null bool
-	I    int64
-	F    float64
-	S    string
-}
-
-func toWireVal(v types.Value) wireVal {
-	w := wireVal{K: uint8(v.Kind()), Null: v.IsNull()}
-	if w.Null {
-		return w
-	}
-	switch v.Kind() {
-	case types.KindBool:
-		if v.Bool() {
-			w.I = 1
-		}
-	case types.KindInt, types.KindDate, types.KindTimestamp:
-		w.I = v.Int()
-	case types.KindFloat:
-		w.F = v.Float()
-	case types.KindString:
-		w.S = v.Str()
-	}
-	return w
-}
-
-func fromWireVal(w wireVal) types.Value {
-	k := types.Kind(w.K)
-	if w.Null {
-		return types.NullOf(k)
-	}
-	switch k {
-	case types.KindBool:
-		return types.NewBool(w.I != 0)
-	case types.KindInt:
-		return types.NewInt(w.I)
-	case types.KindDate:
-		return types.NewDate(w.I)
-	case types.KindTimestamp:
-		return types.NewTimestamp(w.I)
-	case types.KindFloat:
-		return types.NewFloat(w.F)
-	case types.KindString:
-		return types.NewString(w.S)
-	default:
-		return types.Null
-	}
-}
+// small DTO whose dictionary values are packed rows in the shared value
+// layout (types.AppendRow); codes are stable across a round trip, so
+// existing pages stay valid.
 
 // encSnapshot is the on-disk encoder state.
 type encSnapshot struct {
@@ -73,10 +22,10 @@ type encSnapshot struct {
 	Base  int64
 	Limit uint64
 	Scale float64
-	// Dict state: partitions hold sorted values in code order; Ext holds
-	// extension-region values in code order.
-	Parts [][]wireVal
-	Ext   []wireVal
+	// Dict state: each partition packs its sorted values in code order;
+	// Ext packs the extension-region values in code order.
+	Parts [][]byte
+	Ext   []byte
 }
 
 // MarshalEncoder serializes any built-in encoder.
@@ -92,15 +41,9 @@ func MarshalEncoder(e Encoder) ([]byte, error) {
 		snap = encSnapshot{Tag: 2, Kind: uint8(enc.kind)}
 		for i := range enc.parts {
 			p := &enc.parts[i]
-			vals := make([]wireVal, p.len())
-			for j := 0; j < p.len(); j++ {
-				vals[j] = toWireVal(p.get(j, enc.kind))
-			}
-			snap.Parts = append(snap.Parts, vals)
+			snap.Parts = append(snap.Parts, types.AppendRow(nil, enc.decoded[p.start:p.start+uint64(p.len())]))
 		}
-		for _, v := range enc.extension {
-			snap.Ext = append(snap.Ext, toWireVal(v))
-		}
+		snap.Ext = types.AppendRow(nil, enc.extension)
 		enc.mu.RUnlock()
 	default:
 		return nil, fmt.Errorf("encoding: cannot marshal encoder %T", e)
@@ -131,18 +74,37 @@ func UnmarshalEncoder(data []byte) (Encoder, error) {
 	case 2:
 		d := &Dict{kind: kind, lookup: make(map[types.Value]uint64)}
 		for _, part := range snap.Parts {
-			vals := make([]types.Value, len(part))
-			for i, w := range part {
-				vals[i] = fromWireVal(w)
+			vals, err := decodePacked(part)
+			if err != nil {
+				return nil, err
 			}
 			d.addPartition(vals)
 		}
 		d.extStart = d.card
-		for _, w := range snap.Ext {
-			d.Encode(fromWireVal(w))
+		ext, err := decodePacked(snap.Ext)
+		if err != nil {
+			return nil, err
+		}
+		for _, v := range ext {
+			if _, ok := d.normalize(v); !ok || v.IsNull() {
+				return nil, fmt.Errorf("encoding: unmarshal dictionary: %v extension value in %v dictionary", v.Kind(), kind)
+			}
+			d.Encode(v)
 		}
 		return d, nil
 	default:
 		return nil, fmt.Errorf("encoding: unknown encoder tag %d", snap.Tag)
 	}
+}
+
+// decodePacked decodes one packed dictionary region.
+func decodePacked(b []byte) ([]types.Value, error) {
+	vals, n, err := types.DecodeRow(b)
+	if err == nil && n != len(b) {
+		err = fmt.Errorf("%d trailing bytes", len(b)-n)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("encoding: unmarshal dictionary: %w", err)
+	}
+	return vals, nil
 }

@@ -1,21 +1,14 @@
-// Row spill codec: a compact, self-delimiting binary format used by the
-// memory governor's spill paths (external sort runs, Grace join
-// partitions, aggregate run files). Unlike the gob wire format in
-// marshal.go — which favours cross-version robustness for client
-// traffic — this codec favours raw write/read throughput: a one-byte
-// kind/null tag per value, varint integers, raw 8-byte float bits and
-// length-prefixed strings.
+// Row spill codec: the record framing used by the memory governor's
+// spill paths (external sort runs, Grace join partitions, aggregate run
+// files). Each row is one record:
 //
-// Layout per row:
+//	uvarint  record length in bytes
+//	bytes    types.AppendRow encoding of the row
 //
-//	uvarint  column count
-//	per column:
-//	  byte   tag = kind (low 7 bits) | 0x80 if NULL
-//	  varint           KindBool/KindInt/KindDate/KindTimestamp payload
-//	  8 bytes LE       KindFloat bits (NaN round-trips exactly)
-//	  uvarint + bytes  KindString payload
-//
-// NULLs carry the kind so a typed NULL survives the round trip.
+// The row itself uses the shared value layout in internal/types
+// (codec.go): a one-byte kind/null tag per value, varint integers, raw
+// 8-byte float bits (NaN round-trips exactly) and length-prefixed
+// strings; NULLs carry their kind.
 //
 // Compressed execution (DESIGN.md §11) stores dictionary-code key cells
 // as plain KindInt values, so code-carrying group and join state spills
@@ -31,51 +24,29 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math"
 
 	"dashdb/internal/types"
 )
 
-const nullBit = 0x80
-
 // RowWriter streams rows into an io.Writer in spill format.
 type RowWriter struct {
 	w   io.Writer
+	row []byte
 	buf []byte
 }
 
 // NewRowWriter returns a writer that appends rows to w. The caller owns
 // buffering; mem.SpillFile already writes through a bufio.Writer.
 func NewRowWriter(w io.Writer) *RowWriter {
-	return &RowWriter{w: w, buf: make([]byte, 0, 256)}
+	return &RowWriter{w: w, row: make([]byte, 0, 256), buf: make([]byte, 0, 256)}
 }
 
 // WriteRow appends one row and returns the encoded size in bytes.
 func (rw *RowWriter) WriteRow(r types.Row) (int, error) {
-	b := rw.buf[:0]
-	b = binary.AppendUvarint(b, uint64(len(r)))
-	for _, v := range r {
-		tag := byte(v.Kind())
-		if v.IsNull() {
-			b = append(b, tag|nullBit)
-			continue
-		}
-		b = append(b, tag)
-		switch v.Kind() {
-		case types.KindBool, types.KindInt, types.KindDate, types.KindTimestamp:
-			b = binary.AppendVarint(b, v.Int())
-		case types.KindFloat:
-			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Float()))
-		case types.KindString:
-			s := v.Str()
-			b = binary.AppendUvarint(b, uint64(len(s)))
-			b = append(b, s...)
-		default:
-			return 0, fmt.Errorf("encoding: cannot spill %v value", v.Kind())
-		}
-	}
-	rw.buf = b
-	n, err := rw.w.Write(b)
+	rw.row = types.AppendRow(rw.row[:0], r)
+	rw.buf = binary.AppendUvarint(rw.buf[:0], uint64(len(rw.row)))
+	rw.buf = append(rw.buf, rw.row...)
+	n, err := rw.w.Write(rw.buf)
 	if err != nil {
 		return n, fmt.Errorf("encoding: spill write: %w", err)
 	}
@@ -85,7 +56,7 @@ func (rw *RowWriter) WriteRow(r types.Row) (int, error) {
 // RowReader streams rows back out of spill format.
 type RowReader struct {
 	r   *bufio.Reader
-	str []byte
+	rec []byte
 }
 
 // NewRowReader reads rows from r (wrapped in a bufio.Reader unless it
@@ -107,64 +78,27 @@ func (rr *RowReader) ReadRow() (types.Row, error) {
 		}
 		return nil, fmt.Errorf("encoding: spill read: %w", err)
 	}
-	row := make(types.Row, n)
-	for i := range row {
-		tag, err := rr.r.ReadByte()
-		if err != nil {
+	// Grow the record buffer as bytes arrive, so a damaged length cannot
+	// allocate more than the stream holds.
+	rec := rr.rec[:0]
+	for uint64(len(rec)) < n {
+		have := len(rec)
+		want := have + int(min(n-uint64(have), 64<<10))
+		if want > cap(rec) {
+			rec = append(rec[:cap(rec)], make([]byte, want-cap(rec))...)
+		}
+		rec = rec[:want]
+		if _, err := io.ReadFull(rr.r, rec[have:]); err != nil {
 			return nil, fmt.Errorf("encoding: spill read: truncated row: %w", err)
 		}
-		kind := types.Kind(tag &^ nullBit)
-		if tag&nullBit != 0 {
-			row[i] = types.NullOf(kind)
-			continue
-		}
-		switch kind {
-		case types.KindBool:
-			x, err := binary.ReadVarint(rr.r)
-			if err != nil {
-				return nil, fmt.Errorf("encoding: spill read: %w", err)
-			}
-			row[i] = types.NewBool(x != 0)
-		case types.KindInt:
-			x, err := binary.ReadVarint(rr.r)
-			if err != nil {
-				return nil, fmt.Errorf("encoding: spill read: %w", err)
-			}
-			row[i] = types.NewInt(x)
-		case types.KindDate:
-			x, err := binary.ReadVarint(rr.r)
-			if err != nil {
-				return nil, fmt.Errorf("encoding: spill read: %w", err)
-			}
-			row[i] = types.NewDate(x)
-		case types.KindTimestamp:
-			x, err := binary.ReadVarint(rr.r)
-			if err != nil {
-				return nil, fmt.Errorf("encoding: spill read: %w", err)
-			}
-			row[i] = types.NewTimestamp(x)
-		case types.KindFloat:
-			var bits [8]byte
-			if _, err := io.ReadFull(rr.r, bits[:]); err != nil {
-				return nil, fmt.Errorf("encoding: spill read: %w", err)
-			}
-			row[i] = types.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(bits[:])))
-		case types.KindString:
-			ln, err := binary.ReadUvarint(rr.r)
-			if err != nil {
-				return nil, fmt.Errorf("encoding: spill read: %w", err)
-			}
-			if uint64(cap(rr.str)) < ln {
-				rr.str = make([]byte, ln)
-			}
-			buf := rr.str[:ln]
-			if _, err := io.ReadFull(rr.r, buf); err != nil {
-				return nil, fmt.Errorf("encoding: spill read: %w", err)
-			}
-			row[i] = types.NewString(string(buf))
-		default:
-			return nil, fmt.Errorf("encoding: spill read: bad tag %#x", tag)
-		}
+	}
+	rr.rec = rec
+	row, used, err := types.DecodeRow(rec)
+	if err != nil {
+		return nil, fmt.Errorf("encoding: spill read: %w", err)
+	}
+	if used != len(rec) {
+		return nil, fmt.Errorf("encoding: spill read: %d trailing bytes in row", len(rec)-used)
 	}
 	return row, nil
 }

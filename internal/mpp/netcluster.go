@@ -320,6 +320,9 @@ func (c *NetCluster) shardAssignLocked(shard int) shardrpc.ShardAssign {
 	}
 }
 
+// tableSpecsLocked describes every table in storage-id (creation)
+// order: the one form the coordinator ships to adopting servers, writes
+// into the manifest and hands to callers of Tables.
 func (c *NetCluster) tableSpecsLocked() []shardrpc.TableSpec {
 	var out []shardrpc.TableSpec
 	for name, meta := range c.tables {
@@ -425,15 +428,25 @@ func (c *NetCluster) FailNode(name string) error {
 func (c *NetCluster) AddNode(spec NetNode) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	var rejoin *netNode // a dead entry under the same name
 	for _, n := range c.nodes {
-		if strings.EqualFold(n.spec.Name, spec.Name) && n.alive {
-			return fmt.Errorf("mpp: node %s already present", spec.Name)
+		if strings.EqualFold(n.spec.Name, spec.Name) {
+			if n.alive {
+				return fmt.Errorf("mpp: node %s already present", spec.Name)
+			}
+			rejoin = n
 		}
 	}
 	if _, err := c.pool.Ping(spec.Addr); err != nil {
 		return fmt.Errorf("mpp: new node %s unreachable: %w", spec.Name, err)
 	}
-	c.nodes = append(c.nodes, &netNode{spec: spec, alive: true})
+	if rejoin != nil {
+		// A repaired node rejoins in its old slot, so fail/rejoin cycles
+		// do not grow the node list. Dead nodes own no shards.
+		rejoin.spec, rejoin.alive = spec, true
+	} else {
+		c.nodes = append(c.nodes, &netNode{spec: spec, alive: true})
+	}
 	c.stats.Reshards++
 	prev := append([]int(nil), c.assign...)
 	c.rebalanceLocked()
@@ -562,16 +575,7 @@ func (c *NetCluster) DropTable(name string) error {
 }
 
 func (c *NetCluster) writeManifestLocked() error {
-	m := manifest{NShards: c.nShards}
-	for name, meta := range c.tables {
-		mt := manifestTable{Name: name, ID: meta.id, Schema: meta.schema, Replicated: meta.repl}
-		if meta.distCol >= 0 && meta.distCol < len(meta.schema) {
-			mt.DistributeBy = meta.schema[meta.distCol].Name
-		}
-		m.Tables = append(m.Tables, mt)
-	}
-	sort.Slice(m.Tables, func(i, j int) bool { return m.Tables[i].ID < m.Tables[j].ID })
-	return writeManifest(c.fs, m)
+	return writeManifest(c.fs, manifest{NShards: c.nShards, Tables: c.tableSpecsLocked()})
 }
 
 // Insert routes rows to shards by distribution-key hash; replicated
@@ -664,29 +668,12 @@ func (c *NetCluster) Rows(table string) (int, error) {
 	return total, nil
 }
 
-// TableInfo describes one cluster table for introspection and hybrid
-// synchronization.
-type TableInfo struct {
-	Name         string
-	Schema       types.Schema
-	DistributeBy string
-	Replicated   bool
-}
-
-// Tables lists the cluster's tables in name order.
-func (c *NetCluster) Tables() []TableInfo {
+// Tables lists the cluster's tables in creation order (introspection and
+// hybrid synchronization).
+func (c *NetCluster) Tables() []shardrpc.TableSpec {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	var out []TableInfo
-	for name, meta := range c.tables {
-		ti := TableInfo{Name: name, Schema: meta.schema, Replicated: meta.repl}
-		if meta.distCol >= 0 && meta.distCol < len(meta.schema) {
-			ti.DistributeBy = meta.schema[meta.distCol].Name
-		}
-		out = append(out, ti)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+	return c.tableSpecsLocked()
 }
 
 // TableRows gathers every live row of a table to the caller through the
@@ -707,19 +694,12 @@ func (c *NetCluster) TableRows(name string) ([]types.Row, error) {
 // manifestPath is the manifest's location on the clustered filesystem.
 const manifestPath = "cluster/manifest"
 
-// manifestTable records one table's identity and placement.
-type manifestTable struct {
-	Name         string
-	ID           uint32 // storage id, identical on every shard
-	Schema       types.Schema
-	DistributeBy string
-	Replicated   bool
-}
-
-// manifest is the cluster's persisted shape.
+// manifest is the cluster's persisted shape. Gob matches struct fields
+// by name, so manifests written with an earlier per-table struct of the
+// same field names still decode.
 type manifest struct {
 	NShards int
-	Tables  []manifestTable
+	Tables  []shardrpc.TableSpec
 }
 
 // writeManifest gob-encodes the cluster manifest onto the clustered
@@ -729,8 +709,7 @@ func writeManifest(fs *clusterfs.FS, m manifest) error {
 	if err := gob.NewEncoder(&buf).Encode(m); err != nil {
 		return err
 	}
-	fs.WriteFile(manifestPath, buf.Bytes())
-	return nil
+	return fs.WriteFile(manifestPath, buf.Bytes())
 }
 
 // readManifest loads the persisted cluster manifest.

@@ -2,9 +2,10 @@ package mpp
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
-	"time"
 
 	"dashdb/internal/clusterfs"
 	"dashdb/internal/shardrpc"
@@ -431,17 +432,107 @@ func TestNetClusterShuffleJoinFailoverDrops(t *testing.T) {
 	if total != 200 {
 		t.Fatalf("post-failover join count %d, want 200", total)
 	}
-	// Both surviving routers must drain to zero inboxes: the failed
-	// attempt's qid via the coordinator's drop broadcast, the successful
-	// attempt's via per-partition drops (deferred past the reply, hence
-	// the grace loop).
+	// Both surviving routers must hold zero inboxes as soon as the query
+	// returns: the failed attempt's qid via the coordinator's drop
+	// broadcast, the successful attempt's via per-partition drops that
+	// run before each join fragment replies.
 	for _, i := range []int{0, 2} {
-		deadline := time.Now().Add(2 * time.Second)
-		for servers[i].Router().InboxCount() > 0 {
-			if time.Now().After(deadline) {
-				t.Fatalf("server %d still holds %d shuffle inboxes", i, servers[i].Router().InboxCount())
-			}
-			time.Sleep(10 * time.Millisecond)
+		if n := servers[i].Router().InboxCount(); n > 0 {
+			t.Fatalf("server %d still holds %d shuffle inboxes", i, n)
+		}
+	}
+}
+
+// TestNetClusterShuffleJoinLeavesNoInboxes: a join fragment drops its
+// partition's shuffle inboxes before it replies, so none is left on any
+// server the moment a shuffle join returns — no settle window needed.
+func TestNetClusterShuffleJoinLeavesNoInboxes(t *testing.T) {
+	c, servers, _ := startNetCluster(t, 3, 6)
+	seedNetSales(t, c, 300)
+	if err := c.CreateTable("regions", types.Schema{
+		{Name: "name", Kind: types.KindString},
+		{Name: "manager", Kind: types.KindString, Nullable: true},
+	}, TableOptions{DistributeBy: "name"}); err != nil {
+		t.Fatalf("create regions: %v", err)
+	}
+	if err := c.Insert("regions", []types.Row{
+		{types.NewString("north"), types.NewString("ada")},
+		{types.NewString("south"), types.NewString("bob")},
+	}); err != nil {
+		t.Fatalf("insert regions: %v", err)
+	}
+	for i := 0; i < 5; i++ {
+		before := c.Stats().ShuffleJoins
+		if _, err := c.Query("SELECT r.manager, COUNT(*) AS n FROM sales s INNER JOIN regions r ON s.region = r.name GROUP BY r.manager"); err != nil {
+			t.Fatalf("join: %v", err)
+		}
+		if c.Stats().ShuffleJoins != before+1 {
+			t.Fatal("join did not take the shuffle path")
+		}
+		inboxes := 0
+		for _, srv := range servers {
+			inboxes += srv.Router().InboxCount()
+		}
+		if inboxes != 0 {
+			t.Fatalf("run %d: %d shuffle inboxes outlived the join", i, inboxes)
+		}
+	}
+}
+
+// TestNetClusterWriteErrorFailsDML: a shard that cannot persist a
+// statement's effects must fail the statement instead of acknowledging
+// it. The shard's applied-log path is a directory, so reading and
+// replacing the log both fail on the dir-backed filesystem. (A
+// read-only directory would not stop a process running as root.)
+func TestNetClusterWriteErrorFailsDML(t *testing.T) {
+	fs, err := clusterfs.OpenDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, servers, err := StartLocal(testNodes("nodeA", "nodeB"), 2, fs)
+	if err != nil {
+		t.Fatalf("StartLocal: %v", err)
+	}
+	t.Cleanup(func() { CloseServers(servers) })
+	t.Cleanup(c.Close)
+	seedNetSales(t, c, 2)
+	applied := filepath.Join(fs.Dir(), "shards", "0000", "applied")
+	if err := os.Remove(applied); err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(applied, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// region is not the distribution column, so the UPDATE reaches both
+	// shards; exactly one row matches.
+	res, err := c.Query("UPDATE sales SET amount = 7 WHERE region = 'north'")
+	if err == nil {
+		t.Fatalf("UPDATE on an unwritable shard was acknowledged: %d rows affected", res.RowsAffected)
+	}
+}
+
+// TestNetClusterRejoinReusesNodeSlot: a node that fails and rejoins
+// under its old name takes its old slot back, so repeated cycles keep
+// the node list and the resulting placement fixed.
+func TestNetClusterRejoinReusesNodeSlot(t *testing.T) {
+	c, servers, fs := startNodes(t, 8, "A", "B", "C", "D")
+	want := c.Assignment()
+	victim := servers[3]
+	for cycle := 0; cycle < 3; cycle++ {
+		victim.Close()
+		if err := c.FailNode("D"); err != nil {
+			t.Fatalf("cycle %d: fail: %v", cycle, err)
+		}
+		nodes, srvs := startServers(t, fs, "D")
+		if err := c.AddNode(nodes[0]); err != nil {
+			t.Fatalf("cycle %d: rejoin: %v", cycle, err)
+		}
+		victim = srvs[0]
+		if n := len(c.nodes); n != 4 {
+			t.Fatalf("cycle %d: %d node entries, want 4", cycle, n)
+		}
+		if got := c.Assignment(); got != want {
+			t.Fatalf("cycle %d: assignment %q, want %q", cycle, got, want)
 		}
 	}
 }

@@ -3,21 +3,20 @@ package shardrpc
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"dashdb/internal/types"
 )
 
 // Row block codec: the bulk-row payload inside FrameRows, FrameInsert
-// and FrameShuffleData frames. It extends the encoding/rowcodec spill
-// layout (tag byte = kind | 0x80-null, varint ints, 8-byte LE floats,
-// length-prefixed strings) with a per-block string dictionary: strings
+// and FrameShuffleData frames. Cells use the shared value layout in
+// internal/types (codec.go), plus a per-block string dictionary: strings
 // that repeat within the block are written once up front and every
-// occurrence ships as a dict code (tag bit 0x40 + uvarint index). This
-// is the wire-level analogue of the engine's code-carrying vectors —
-// shards cannot assume their column dictionaries agree (each shard
-// builds its own domains), so the block is its own dictionary scope and
-// the codes are always decodable by the receiver alone.
+// occurrence ships as a dict code (tag = KindString | types.TagExt, then
+// a uvarint index). This is the wire-level analogue of the engine's
+// code-carrying vectors — shards cannot assume their column dictionaries
+// agree (each shard builds its own domains), so the block is its own
+// dictionary scope and the codes are always decodable by the receiver
+// alone.
 //
 // Layout:
 //
@@ -26,17 +25,9 @@ import (
 //	per entry: uvarint length + bytes
 //	per row:
 //	  uvarint column count
-//	  per column:
-//	    byte   tag = kind (low 5 bits) | 0x80 NULL | 0x40 dict code
-//	    varint            bool/int/date/timestamp payload
-//	    8 bytes LE        float bits
-//	    uvarint           dict code (0x40 set)
-//	    uvarint + bytes   inline string (0x40 clear)
-const (
-	blockNullBit = 0x80
-	blockDictBit = 0x40
-	blockKindMax = 0x3F
-)
+//	  per column: types.AppendValue encoding, or the dict-code tag
+//	  followed by a uvarint code
+const dictTag = byte(types.KindString) | types.TagExt
 
 // EncodeRowBlock appends the block encoding of rows to dst.
 func EncodeRowBlock(dst []byte, rows []types.Row) ([]byte, error) {
@@ -76,35 +67,14 @@ func EncodeRowBlock(dst []byte, rows []types.Row) ([]byte, error) {
 	for _, r := range rows {
 		dst = binary.AppendUvarint(dst, uint64(len(r)))
 		for _, v := range r {
-			k := v.Kind()
-			if k > blockKindMax {
-				return nil, fmt.Errorf("shardrpc: cannot encode %v value", k)
-			}
-			tag := byte(k)
-			if v.IsNull() {
-				dst = append(dst, tag|blockNullBit)
-				continue
-			}
-			switch k {
-			case types.KindBool, types.KindInt, types.KindDate, types.KindTimestamp:
-				dst = append(dst, tag)
-				dst = binary.AppendVarint(dst, v.Int())
-			case types.KindFloat:
-				dst = append(dst, tag)
-				dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Float()))
-			case types.KindString:
-				s := v.Str()
-				if code, ok := dict[s]; ok {
-					dst = append(dst, tag|blockDictBit)
+			if v.Kind() == types.KindString && !v.IsNull() {
+				if code, ok := dict[v.Str()]; ok {
+					dst = append(dst, dictTag)
 					dst = binary.AppendUvarint(dst, code)
-				} else {
-					dst = append(dst, tag)
-					dst = binary.AppendUvarint(dst, uint64(len(s)))
-					dst = append(dst, s...)
+					continue
 				}
-			default:
-				return nil, fmt.Errorf("shardrpc: cannot encode %v value", k)
 			}
+			dst = types.AppendValue(dst, v)
 		}
 	}
 	return dst, nil
@@ -123,15 +93,6 @@ func (br *blockReader) uvarint() (uint64, error) {
 	x, n := binary.Uvarint(br.b[br.pos:])
 	if n <= 0 {
 		return 0, fmt.Errorf("shardrpc: row block: truncated uvarint")
-	}
-	br.pos += n
-	return x, nil
-}
-
-func (br *blockReader) varint() (int64, error) {
-	x, n := binary.Varint(br.b[br.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("shardrpc: row block: truncated varint")
 	}
 	br.pos += n
 	return x, nil
@@ -190,63 +151,24 @@ func DecodeRowBlock(data []byte) ([]types.Row, error) {
 			if br.pos >= len(br.b) {
 				return nil, fmt.Errorf("shardrpc: row block: truncated row")
 			}
-			tag := br.b[br.pos]
-			br.pos++
-			kind := types.Kind(tag & blockKindMax)
-			if tag&blockNullBit != 0 {
-				row = append(row, types.NullOf(kind))
+			if br.b[br.pos] != dictTag {
+				v, n, err := types.DecodeValue(br.b[br.pos:])
+				if err != nil {
+					return nil, fmt.Errorf("shardrpc: row block: %w", err)
+				}
+				br.pos += n
+				row = append(row, v)
 				continue
 			}
-			switch kind {
-			case types.KindBool:
-				x, err := br.varint()
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, types.NewBool(x != 0))
-			case types.KindInt, types.KindDate, types.KindTimestamp:
-				x, err := br.varint()
-				if err != nil {
-					return nil, err
-				}
-				switch kind {
-				case types.KindInt:
-					row = append(row, types.NewInt(x))
-				case types.KindDate:
-					row = append(row, types.NewDate(x))
-				default:
-					row = append(row, types.NewTimestamp(x))
-				}
-			case types.KindFloat:
-				b, err := br.bytes(8)
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, types.NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(b))))
-			case types.KindString:
-				if tag&blockDictBit != 0 {
-					code, err := br.uvarint()
-					if err != nil {
-						return nil, err
-					}
-					if code >= uint64(len(dict)) {
-						return nil, fmt.Errorf("shardrpc: row block: dict code %d of %d", code, len(dict))
-					}
-					row = append(row, types.NewString(dict[code]))
-				} else {
-					ln, err := br.uvarint()
-					if err != nil {
-						return nil, err
-					}
-					b, err := br.bytes(ln)
-					if err != nil {
-						return nil, err
-					}
-					row = append(row, types.NewString(string(b)))
-				}
-			default:
-				return nil, fmt.Errorf("shardrpc: row block: bad tag %#x", tag)
+			br.pos++
+			code, err := br.uvarint()
+			if err != nil {
+				return nil, err
 			}
+			if code >= uint64(len(dict)) {
+				return nil, fmt.Errorf("shardrpc: row block: dict code %d of %d", code, len(dict))
+			}
+			row = append(row, types.NewString(dict[code]))
 		}
 		rows = append(rows, row)
 	}

@@ -126,7 +126,9 @@ func (s *Server) Close() {
 	s.wg.Wait()
 	s.mu.Lock()
 	for id, slot := range s.engines {
-		persistEngine(slot.db)
+		// Best effort: every acknowledged statement was already persisted
+		// when it was applied.
+		persistEngine(slot.db) //nolint:errcheck
 		slot.db.Close()
 		delete(s.engines, id)
 	}
@@ -150,7 +152,9 @@ func (s *Server) Adopt(req AdoptReq) error {
 				}
 				continue
 			}
-			persistEngine(slot.db)
+			if err := persistEngine(slot.db); err != nil {
+				return fmt.Errorf("shardrpc: reconfigure shard %d: %w", a.ID, err)
+			}
 			slot.db.Close()
 			delete(s.engines, a.ID)
 		}
@@ -202,8 +206,10 @@ func (s *Server) ensureTablesLocked(slot *engineSlot, tables []TableSpec) error 
 }
 
 // Release stops hosting shards after persisting them; their file-sets
-// stay on the clustered filesystem for the next owner.
-func (s *Server) Release(ids []int) {
+// stay on the clustered filesystem for the next owner. A shard whose
+// state could not be persisted stays hosted and the error is returned,
+// so the coordinator does not hand a stale file-set to another node.
+func (s *Server) Release(ids []int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, id := range ids {
@@ -211,20 +217,26 @@ func (s *Server) Release(ids []int) {
 		if !ok {
 			continue
 		}
-		persistEngine(slot.db)
+		if err := persistEngine(slot.db); err != nil {
+			return fmt.Errorf("shardrpc: release shard %d: %w", id, err)
+		}
 		slot.db.Close()
 		delete(s.engines, id)
 	}
+	return nil
 }
 
 // persistEngine saves every table's metadata (including the open
 // stride) so another process can reopen the shard losslessly.
-func persistEngine(db *core.DB) {
+func persistEngine(db *core.DB) error {
 	for _, name := range db.Catalog().TableNames() {
 		if tbl, ok := db.Table(name); ok {
-			tbl.SaveMeta() //nolint:errcheck — best effort on shutdown
+			if err := tbl.SaveMeta(); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
 }
 
 // --- DML idempotency ---------------------------------------------------------
@@ -264,46 +276,62 @@ func appliedPath(shardID int) string {
 
 // lookupApplied reports whether this shard already applied the token,
 // and the affected count recorded for it.
-func (s *Server) lookupApplied(shardID int, token uint64) (int64, bool) {
+func (s *Server) lookupApplied(shardID int, token uint64) (int64, bool, error) {
 	if token == 0 {
-		return 0, false
+		return 0, false, nil
 	}
 	s.appliedMu.Lock()
 	defer s.appliedMu.Unlock()
-	lg := s.readAppliedLocked(shardID)
+	lg, err := s.readAppliedLocked(shardID)
+	if err != nil {
+		return 0, false, err
+	}
 	for _, e := range lg.Recent {
 		if e.Token == token {
-			return e.RowsAffected, true
+			return e.RowsAffected, true, nil
 		}
 	}
-	return 0, false
+	return 0, false, nil
 }
 
-func (s *Server) readAppliedLocked(shardID int) appliedLog {
+// readAppliedLocked loads the shard's applied log. A missing log is
+// empty; an unreadable one is an error, because reading it as empty
+// would re-apply a statement the shard already applied.
+func (s *Server) readAppliedLocked(shardID int) (appliedLog, error) {
 	var lg appliedLog
 	data, err := s.fs.ReadFile(appliedPath(shardID))
-	if err != nil {
-		return lg
+	if errors.Is(err, iofs.ErrNotExist) {
+		return lg, nil
 	}
-	decodeGob(data, &lg) //nolint:errcheck — a corrupt log reads as empty
-	return lg
+	if err == nil {
+		_, err = decodeGob(data, &lg)
+	}
+	if err != nil {
+		return lg, fmt.Errorf("shardrpc: shard %d applied log: %w", shardID, err)
+	}
+	return lg, nil
 }
 
 // markApplied logs a token after the shard state it covers is persisted.
-func (s *Server) markApplied(shardID int, token uint64, affected int64) {
+func (s *Server) markApplied(shardID int, token uint64, affected int64) error {
 	if token == 0 {
-		return
+		return nil
 	}
 	s.appliedMu.Lock()
 	defer s.appliedMu.Unlock()
-	lg := s.readAppliedLocked(shardID)
+	lg, err := s.readAppliedLocked(shardID)
+	if err != nil {
+		return err
+	}
 	lg.Recent = append(lg.Recent, appliedEntry{Token: token, RowsAffected: affected})
 	if len(lg.Recent) > appliedKeep {
 		lg.Recent = lg.Recent[len(lg.Recent)-appliedKeep:]
 	}
-	if data, err := encodeGob(&lg); err == nil {
-		s.fs.WriteFile(appliedPath(shardID), data)
+	data, err := encodeGob(&lg)
+	if err != nil {
+		return err
 	}
+	return s.fs.WriteFile(appliedPath(shardID), data)
 }
 
 func (s *Server) engine(shardID int) (*engineSlot, error) {
@@ -407,8 +435,7 @@ func (s *Server) dispatch(c *serverConn, t FrameType, payload []byte) error {
 		if _, err := decodeGob(payload, &req); err != nil {
 			return reply(err)
 		}
-		s.Release(req.Shards)
-		return reply(nil)
+		return reply(s.Release(req.Shards))
 	case FrameRowCount:
 		return s.handleRowCount(c, payload)
 	default:
@@ -470,7 +497,11 @@ func (s *Server) handleExec(c *serverConn, payload []byte) error {
 	}
 	write := !isReadOnly(req.Stmt)
 	if write {
-		if affected, ok := s.lookupApplied(req.ShardID, req.Token); ok {
+		affected, ok, err := s.lookupApplied(req.ShardID, req.Token)
+		if err != nil {
+			return c.write(FrameErr, []byte(err.Error()))
+		}
+		if ok {
 			// Lost-reply retry of a statement this shard already durably
 			// applied: acknowledge without re-executing it.
 			return writeResultStream(c, &core.Result{RowsAffected: affected, Message: "OK"}, false)
@@ -483,8 +514,13 @@ func (s *Server) handleExec(c *serverConn, payload []byte) error {
 		return c.write(FrameErr, []byte(err.Error()))
 	}
 	if write {
-		persistEngine(slot.db)
-		s.markApplied(req.ShardID, req.Token, res.RowsAffected)
+		err := persistEngine(slot.db)
+		if err == nil {
+			err = s.markApplied(req.ShardID, req.Token, res.RowsAffected)
+		}
+		if err != nil {
+			return c.write(FrameErr, []byte(err.Error()))
+		}
 	}
 	return writeResultStream(c, res, req.WithStats)
 }
@@ -503,8 +539,9 @@ func (s *Server) handleInsert(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	if _, ok := s.lookupApplied(hdr.ShardID, hdr.Token); ok {
-		return nil // this bucket already landed durably; retry after a lost reply
+	// done: this bucket already landed durably; a retry after a lost reply.
+	if _, done, err := s.lookupApplied(hdr.ShardID, hdr.Token); err != nil || done {
+		return err
 	}
 	tbl, ok := slot.db.Table(hdr.Table)
 	if !ok {
@@ -516,8 +553,7 @@ func (s *Server) handleInsert(payload []byte) error {
 	if err := tbl.SaveMeta(); err != nil {
 		return err
 	}
-	s.markApplied(hdr.ShardID, hdr.Token, int64(len(rows)))
-	return nil
+	return s.markApplied(hdr.ShardID, hdr.Token, int64(len(rows)))
 }
 
 func (s *Server) handleFragment(payload []byte) error {
@@ -607,9 +643,22 @@ func (s *Server) handleJoinFrag(c *serverConn, payload []byte) error {
 	if _, err := decodeGob(payload, &req); err != nil {
 		return c.write(FrameErr, []byte(err.Error()))
 	}
-	slot, err := s.engine(req.ShardID)
+	res, err := s.execJoinFrag(&req)
 	if err != nil {
 		return c.write(FrameErr, []byte(err.Error()))
+	}
+	return writeResultStream(c, res, req.WithStats)
+}
+
+// execJoinFrag runs one partition's join over its shuffle inboxes and
+// drops them before returning — on every path, and before the reply is
+// written — so no inbox outlives the statement that the coordinator
+// sees complete.
+func (s *Server) execJoinFrag(req *JoinFragReq) (*core.Result, error) {
+	defer s.router.DropPart(req.Query, req.Part)
+	slot, err := s.engine(req.ShardID)
+	if err != nil {
+		return nil, err
 	}
 	// The scratch engine inherits the shard's post-failover budgets, so
 	// reduced SORTHEAP/HASHHEAP and DOP govern the join itself (and the
@@ -621,22 +670,17 @@ func (s *Server) handleJoinFrag(c *serverConn, payload []byte) error {
 		HashHeapBytes:   slot.assign.HashHeap,
 	})
 	defer scratch.Close()
-	defer s.router.DropPart(req.Query, req.Part)
 	build := &shuffleNick{sch: req.BuildSchema, src: s.router.Source(req.Query, req.BuildStage, req.Part, req.Senders)}
 	probe := &shuffleNick{sch: req.ProbeSchema, src: s.router.Source(req.Query, req.ProbeStage, req.Part, req.Senders)}
 	if err := scratch.Catalog().CreateNickname(req.BuildName, build); err != nil {
-		return c.write(FrameErr, []byte(err.Error()))
+		return nil, err
 	}
 	if err := scratch.Catalog().CreateNickname(req.ProbeName, probe); err != nil {
-		return c.write(FrameErr, []byte(err.Error()))
+		return nil, err
 	}
 	sess := scratch.NewSession()
 	sess.SetDialect(req.Dialect)
-	res, err := sess.ExecParsed(req.Sel)
-	if err != nil {
-		return c.write(FrameErr, []byte(err.Error()))
-	}
-	return writeResultStream(c, res, req.WithStats)
+	return sess.ExecParsed(req.Sel)
 }
 
 func (s *Server) handleRowCount(c *serverConn, payload []byte) error {

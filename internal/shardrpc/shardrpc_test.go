@@ -1,8 +1,10 @@
 package shardrpc
 
 import (
+	"bufio"
 	"bytes"
 	"math"
+	"net"
 	"reflect"
 	"strings"
 	"testing"
@@ -509,3 +511,56 @@ func TestIsTransient(t *testing.T) {
 type errFake string
 
 func (e errFake) Error() string { return string(e) }
+
+// replyConn is the write half of a connection that records, at each
+// write, how many shuffle inboxes the server still holds.
+type replyConn struct {
+	net.Conn
+	out     bytes.Buffer
+	inboxes func() int
+	seen    []int
+}
+
+func (c *replyConn) Write(b []byte) (int, error) {
+	c.seen = append(c.seen, c.inboxes())
+	return c.out.Write(b)
+}
+
+func (c *replyConn) SetWriteDeadline(time.Time) error { return nil }
+
+// TestJoinFragDropsInboxesBeforeReply: a join fragment drops its
+// partition's shuffle inboxes before the first byte of its reply, so the
+// coordinator never sees a join complete while its inboxes remain.
+func TestJoinFragDropsInboxesBeforeReply(t *testing.T) {
+	s := startTestServer(t, clusterfs.New())
+	sch := types.Schema{{Name: "k", Kind: types.KindInt}}
+	for stage := 0; stage < 2; stage++ {
+		s.Router().Deliver(9, stage, 0, []types.Row{{types.NewInt(1)}, {types.NewInt(2)}})
+		s.Router().EOF(9, stage, 0)
+	}
+	st, err := sql.Parse("SELECT COUNT(*) FROM b JOIN p ON b.k = p.k", sql.DialectANSI)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := encodeGob(&JoinFragReq{
+		Query: 9, ShardID: 0, Part: 0, BuildStage: 0, ProbeStage: 1,
+		BuildName: "b", ProbeName: "p", BuildSchema: sch, ProbeSchema: sch,
+		Senders: 1, Sel: st.(*sql.SelectStmt),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc := &replyConn{inboxes: s.Router().InboxCount}
+	c := serverConn{nc: nc}
+	c.init()
+	if err := s.handleJoinFrag(&c, payload); err != nil {
+		t.Fatal(err)
+	}
+	if len(nc.seen) == 0 || nc.seen[0] != 0 {
+		t.Fatalf("inboxes held at each reply write: %v, want 0 from the first", nc.seen)
+	}
+	ft, _, err := ReadFrame(bufio.NewReader(&nc.out))
+	if err != nil || ft != FrameResultHdr {
+		t.Fatalf("first reply frame %d err %v, want the result header", ft, err)
+	}
+}

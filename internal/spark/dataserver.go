@@ -25,58 +25,6 @@ import (
 	"dashdb/internal/types"
 )
 
-// wireValue is the gob-encodable form of types.Value.
-type wireValue struct {
-	Kind uint8
-	Null bool
-	I    int64
-	F    float64
-	S    string
-}
-
-func toWire(v types.Value) wireValue {
-	w := wireValue{Kind: uint8(v.Kind()), Null: v.IsNull()}
-	if w.Null {
-		return w
-	}
-	switch v.Kind() {
-	case types.KindBool:
-		if v.Bool() {
-			w.I = 1
-		}
-	case types.KindInt, types.KindDate, types.KindTimestamp:
-		w.I = v.Int()
-	case types.KindFloat:
-		w.F = v.Float()
-	case types.KindString:
-		w.S = v.Str()
-	}
-	return w
-}
-
-func fromWire(w wireValue) types.Value {
-	k := types.Kind(w.Kind)
-	if w.Null {
-		return types.NullOf(k)
-	}
-	switch k {
-	case types.KindBool:
-		return types.NewBool(w.I != 0)
-	case types.KindInt:
-		return types.NewInt(w.I)
-	case types.KindDate:
-		return types.NewDate(w.I)
-	case types.KindTimestamp:
-		return types.NewTimestamp(w.I)
-	case types.KindFloat:
-		return types.NewFloat(w.F)
-	case types.KindString:
-		return types.NewString(w.S)
-	default:
-		return types.Null
-	}
-}
-
 // fetchRequest asks a shard's data server for a table's local rows,
 // optionally filtered by a pushed-down WHERE clause.
 type fetchRequest struct {
@@ -85,9 +33,10 @@ type fetchRequest struct {
 	Cols  []string
 }
 
-// fetchChunk is one streamed batch of rows.
+// fetchChunk is one streamed batch of rows, packed back to back in the
+// shared value layout (types.AppendRow).
 type fetchChunk struct {
-	Rows [][]wireValue
+	Rows []byte
 	Last bool
 	Err  string
 }
@@ -121,8 +70,8 @@ func NewDataServer(db *core.DB) (*DataServer, error) {
 // Addr returns the server's dial address.
 func (s *DataServer) Addr() string { return s.ln.Addr().String() }
 
-// BytesSent returns the cumulative payload row count sent — the transfer
-// metric for the pushdown experiment F-H.
+// BytesSent returns the cumulative bytes of packed row payload sent —
+// the transfer metric for the pushdown experiment F-H.
 func (s *DataServer) BytesSent() int64 { return s.bytesOut.Load() }
 
 // RowsSent returns the cumulative rows sent.
@@ -206,16 +155,10 @@ func (s *DataServer) stream(req fetchRequest, enc *gob.Encoder) error {
 		}
 		ch := fetchChunk{}
 		for _, r := range res.Rows[off:end] {
-			wr := make([]wireValue, len(r))
-			sz := 0
-			for i, v := range r {
-				wr[i] = toWire(v)
-				sz += 17 + len(wr[i].S)
-			}
-			ch.Rows = append(ch.Rows, wr)
-			s.bytesOut.Add(int64(sz))
+			ch.Rows = types.AppendRow(ch.Rows, r)
 		}
-		s.rowsOut.Add(int64(len(ch.Rows)))
+		s.bytesOut.Add(int64(len(ch.Rows)))
+		s.rowsOut.Add(int64(end - off))
 		if err := enc.Encode(ch); err != nil {
 			return err
 		}
@@ -244,12 +187,13 @@ func fetch(addr string, req fetchRequest) ([]types.Row, error) {
 		if ch.Err != "" {
 			return nil, fmt.Errorf("spark: remote: %s", ch.Err)
 		}
-		for _, wr := range ch.Rows {
-			row := make(types.Row, len(wr))
-			for i, w := range wr {
-				row[i] = fromWire(w)
+		for b := ch.Rows; len(b) > 0; {
+			row, n, err := types.DecodeRow(b)
+			if err != nil {
+				return nil, fmt.Errorf("spark: fetch stream: %w", err)
 			}
 			rows = append(rows, row)
+			b = b[n:]
 		}
 		if ch.Last {
 			return rows, nil

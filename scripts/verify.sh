@@ -3,7 +3,8 @@
 # (dashdb-lint), the full test suite, and a race-detector pass over every
 # package. Set DASHDB_FUZZ=1 to add a 10-second smoke run of each fuzz
 # target (SQL front end totality, encoder round-trip identity, bulk-append
-# atomicity under racing truncates, shard RPC frame decoding).
+# atomicity under racing truncates, shard RPC frame decoding, the shared
+# value codec).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -38,4 +39,5 @@ if [ "${DASHDB_FUZZ:-0}" = "1" ]; then
 	go test -run=NONE -fuzz=FuzzEncodingRoundTrip -fuzztime=10s ./internal/encoding/
 	go test -run=NONE -fuzz=FuzzBulkAppend -fuzztime=10s ./internal/columnar/
 	go test -run=NONE -fuzz=FuzzShuffleFrame -fuzztime=10s ./internal/shardrpc/
+	go test -run=NONE -fuzz=FuzzValueCodec -fuzztime=10s ./internal/types/
 fi
